@@ -241,10 +241,76 @@ func TestWireMetamorphicInTransactions(t *testing.T) {
 	}
 }
 
+// boundParam is one typed extended-protocol parameter: its declared type
+// OID, its text-format wire value (nil = NULL), the same value bound
+// in-process, and its SQL literal.
+type boundParam struct {
+	oid     int32
+	wire    *string
+	engine  any
+	literal string
+}
+
+// randBoundParam draws an INT, REAL, TEXT or NULL parameter for a
+// comparison with the indexed INTEGER column a.
+func randBoundParam(r *rand.Rand) boundParam {
+	switch r.Intn(4) {
+	case 0:
+		s := strconv.Itoa(r.Intn(30))
+		n, _ := strconv.ParseInt(s, 10, 64)
+		return boundParam{20, pgwiretest.Str(s), n, s}
+	case 1:
+		f := float64(r.Intn(60)) / 2
+		s := strconv.FormatFloat(f, 'f', 1, 64)
+		return boundParam{701, pgwiretest.Str(s), f, s}
+	case 2:
+		s := strconv.Itoa(r.Intn(30))
+		return boundParam{25, pgwiretest.Str(s), s, "'" + s + "'"}
+	default:
+		return boundParam{20, nil, nil, "NULL"}
+	}
+}
+
+// checkWireBoundIndexParams runs `a = ?` or `a BETWEEN ? AND ?` — which
+// the engine serves from the index on a — through the extended protocol
+// with typed parameters, and demands the count of the literal form over
+// the simple protocol and of in-process execution.
+func checkWireBoundIndexParams(t *testing.T, c *pgwiretest.Conn, db *sqldb.Database, r *rand.Rand) {
+	t.Helper()
+	ps := []boundParam{randBoundParam(r)}
+	where, literal := "a = ?", "a = "+ps[0].literal
+	if r.Intn(2) == 0 {
+		ps = append(ps, randBoundParam(r))
+		where, literal = "a BETWEEN ? AND ?", "a BETWEEN "+ps[0].literal+" AND "+ps[1].literal
+	}
+	var oids []int32
+	var wire []*string
+	var engine []any
+	for _, p := range ps {
+		oids, wire, engine = append(oids, p.oid), append(wire, p.wire), append(engine, p.engine)
+	}
+	c.SendParse("", "SELECT COUNT(*) FROM m WHERE "+where, oids)
+	c.SendBind("", "", wire)
+	c.SendExecute("", 0)
+	c.SendSync()
+	res, err := c.Collect()
+	if err != nil || res.Err != nil {
+		t.Fatalf("extended %s %v: %v / %v", where, engine, err, res.Err)
+	}
+	ext := wireRows(res)
+	simple := wireQuery(t, c, "SELECT COUNT(*) FROM m WHERE "+literal)
+	inproc := engineRows(t, db, "SELECT COUNT(*) FROM m WHERE "+where, engine...)
+	if !reflect.DeepEqual(ext, simple) || !reflect.DeepEqual(ext, inproc) {
+		t.Fatalf("%s with %v diverges: extended %q simple %q (%s) engine %q",
+			where, engine, ext, simple, literal, inproc)
+	}
+}
+
 // TestWireMetamorphicExtendedProtocol re-checks NoREC through the
 // extended protocol with the predicate's comparison value bound as a
 // parameter — the prepared-statement path must agree with the simple
-// path and with in-process execution.
+// path and with in-process execution — and does the same for typed
+// parameters the engine binds into its index access paths.
 func TestWireMetamorphicExtendedProtocol(t *testing.T) {
 	_, db, addr := startServer(t, Options{})
 	c := dial(t, addr)
@@ -276,5 +342,7 @@ func TestWireMetamorphicExtendedProtocol(t *testing.T) {
 			t.Fatalf("step %d: a > %d diverges: extended %q simple %q engine %q",
 				step, bound, extRows, simple, engine)
 		}
+		// A separate generator, so the DML corpus above is unchanged.
+		checkWireBoundIndexParams(t, c, db, rand.New(rand.NewSource(int64(step))))
 	}
 }

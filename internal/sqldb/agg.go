@@ -23,7 +23,7 @@ type aggState interface {
 
 // mergeableAggState is an aggState whose partial results can be combined
 // across parallel workers without observable divergence from the serial
-// fold (parallel.go). GROUP_CONCAT (order-sensitive) and DISTINCT
+// fold (vecops.go). GROUP_CONCAT (order-sensitive) and DISTINCT
 // wrappers (unmergeable dedup sets) deliberately do not implement it;
 // the planner checks eligibility before choosing parallel aggregation.
 type mergeableAggState interface {
@@ -95,6 +95,20 @@ func foldParts(parts []sumPart) float64 {
 	return f
 }
 
+// partSum is a morsel-keyed float accumulator: one running sum per morsel,
+// folded in ascending morsel order by foldParts.
+type partSum struct {
+	parts []sumPart
+}
+
+func (p *partSum) add(f float64, morsel int) {
+	if n := len(p.parts); n > 0 && p.parts[n-1].morsel == morsel {
+		p.parts[n-1].f += f
+		return
+	}
+	p.parts = append(p.parts, sumPart{morsel: morsel, f: f})
+}
+
 // newAggState builds the accumulator for the named aggregate.
 func newAggState(fc *FuncCall) (aggState, error) {
 	var base aggState
@@ -152,7 +166,7 @@ type sumState struct {
 	sawAny  bool
 	allInts bool
 	i       int64
-	parts   []sumPart
+	partSum
 }
 
 func (s *sumState) add(v Value) { s.addMorsel(v, 0) }
@@ -170,11 +184,7 @@ func (s *sumState) addMorsel(v Value, morsel int) {
 	} else {
 		s.allInts = false
 	}
-	if n := len(s.parts); n > 0 && s.parts[n-1].morsel == morsel {
-		s.parts[n-1].f += v.AsFloat()
-	} else {
-		s.parts = append(s.parts, sumPart{morsel: morsel, f: v.AsFloat()})
-	}
+	s.partSum.add(v.AsFloat(), morsel)
 }
 
 func (s *sumState) merge(other aggState) {
@@ -212,8 +222,8 @@ func (s *sumState) result() Value {
 // it keeps morsel-keyed float parts so the summation order is defined
 // under parallel execution.
 type avgState struct {
-	n     int64
-	parts []sumPart
+	n int64
+	partSum
 }
 
 func (s *avgState) add(v Value) { s.addMorsel(v, 0) }
@@ -223,11 +233,7 @@ func (s *avgState) addMorsel(v Value, morsel int) {
 		return
 	}
 	s.n++
-	if n := len(s.parts); n > 0 && s.parts[n-1].morsel == morsel {
-		s.parts[n-1].f += v.AsFloat()
-	} else {
-		s.parts = append(s.parts, sumPart{morsel: morsel, f: v.AsFloat()})
-	}
+	s.partSum.add(v.AsFloat(), morsel)
 }
 
 func (s *avgState) merge(other aggState) {

@@ -172,7 +172,7 @@ func instrument(op operator, rec *execRecorder) operator {
 		t.probe = instrument(t.probe, rec)
 	case *nestedLoopJoinOp:
 		t.left = instrument(t.left, rec)
-	case *scanOp, *ordScanOp, *corrProbeScanOp, *mergeJoinOp, *valuesOp, *parScanOp, *vecScanOp:
+	case *scanOp, *ordScanOp, *corrProbeScanOp, *mergeJoinOp, *valuesOp, *vecScanOp:
 		// Leaves (valuesOp.src is a dead display-only subtree).
 	}
 	w := &statOp{child: op, stat: rec.statFor(op)}
@@ -190,8 +190,6 @@ func treeScanned(op operator) uint64 {
 	case *scanOp:
 		return t.scanned
 	case *ordScanOp:
-		return t.scanned
-	case *parScanOp:
 		return t.scanned
 	case *vecScanOp:
 		return t.scanned

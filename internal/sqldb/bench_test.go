@@ -163,18 +163,19 @@ func BenchmarkInterleavedReadWrite(b *testing.B) {
 }
 
 // Parallel-execution benchmarks: each runs the same statement against a
-// single-worker and a pooled database, so the morsel-parallel scan,
-// partial aggregation, and partitioned hash-join build are measured
-// against their serial twins. On a single-CPU host the pooled numbers
-// show coordination overhead, not speedup; with real cores they show the
-// fan-out win. Tables are sized above the default parallelMinRows so the
-// pooled runs genuinely take the parallel paths.
+// single-worker database, a database with the default pool (GOMAXPROCS
+// capped at 8 — what users get) and a 4-worker one, so the batch workers'
+// scan and partial aggregation and the partitioned hash-join build are
+// measured against their serial twins. On a single-CPU host the pooled
+// numbers show coordination overhead, not speedup; with real cores they
+// show the fan-out win. Tables are sized above batchMinRows so the pooled
+// runs genuinely take the parallel paths.
 
 func benchWorkers(b *testing.B, run func(b *testing.B, workers int)) {
 	b.Helper()
-	for _, w := range []int{1, 4} {
-		b.Run(fmt.Sprintf("workers=%d", w), func(b *testing.B) { run(b, w) })
-	}
+	b.Run("workers=1", func(b *testing.B) { run(b, 1) })
+	b.Run("workers=default", func(b *testing.B) { run(b, defaultMaxWorkers()) })
+	b.Run("workers=4", func(b *testing.B) { run(b, 4) })
 }
 
 func BenchmarkParallelScan(b *testing.B) {
@@ -237,11 +238,11 @@ func BenchmarkPreparedVsParsed(b *testing.B) {
 }
 
 // Vectorized-execution benchmarks: each statement runs on the same data
-// under all four storage x engine combinations — the heap vs sealed
-// column segments underneath, and the row-at-a-time vs vectorized
-// executor on top — with a single-worker pool so the comparison isolates
-// batch execution from morsel parallelism. sealed/vec is the tentpole
-// configuration; heap/row is the old engine.
+// under every storage x engine combination — the heap vs sealed column
+// segments underneath; on top, the row-at-a-time engine, the batch
+// pipeline on a single worker (isolating batch execution from
+// parallelism), and the batch pipeline on the default pool (what users
+// get). heap/row is the old engine.
 // unsealAll drops every published segment so the "heap" variants measure
 // pure heap scans. The bulk load is big enough to wake the background
 // sealer, so it is waited out first — otherwise it could republish
@@ -260,9 +261,13 @@ func unsealAll(db *Database) {
 func benchVector(b *testing.B, sql string) {
 	b.Helper()
 	for _, storage := range []string{"heap", "sealed"} {
-		for _, engine := range []string{"row", "vec"} {
+		for _, engine := range []string{"row", "vec", "pool"} {
 			b.Run(storage+"/"+engine, func(b *testing.B) {
-				db := benchDB(b, 64*1024, WithMaxWorkers(1))
+				workers := 1
+				if engine == "pool" {
+					workers = defaultMaxWorkers()
+				}
+				db := benchDB(b, 64*1024, WithMaxWorkers(workers))
 				unsealAll(db)
 				if storage == "sealed" {
 					if db.Seal() == 0 {
@@ -270,7 +275,7 @@ func benchVector(b *testing.B, sql string) {
 					}
 				}
 				old := vectorEnabled
-				vectorEnabled = engine == "vec"
+				vectorEnabled = engine != "row"
 				defer func() { vectorEnabled = old }()
 				benchQuery(b, db, sql)
 			})

@@ -646,6 +646,17 @@ func (idx *Index) copyIDs(key string) []int {
 	return ids
 }
 
+// appendIDs appends the key's posting list (ascending) to dst — the
+// allocation-free form of copyIDs for per-probe lookups.
+func (idx *Index) appendIDs(dst []int, key []byte) []int {
+	idx.mu.Lock()
+	if p, ok := idx.m[string(key)]; ok {
+		dst = append(dst, p.ids...)
+	}
+	idx.mu.Unlock()
+	return dst
+}
+
 // addEntry adds id under v's key in the hash map and, when an ordered
 // view is live, maintains it in place. Reports whether ordered
 // maintenance happened (the ordMaintains counter).

@@ -593,22 +593,15 @@ func (db *Database) execUpdate(stmt *UpdateStmt, params []Value, qc *queryCtx, t
 
 // dmlEqualityIDs serves a DML statement's WHERE clause from an equality
 // index when it has exactly the shape `col = <literal or ? parameter>`
-// over an indexed column of the mutated table. The returned ids are
-// precisely the rows the statement snapshot sees the predicate holding
-// for, ascending — the order the heap walk would visit them — and are
-// private to the caller (the posting list is copied and filtered). A NULL
-// comparand matches nothing (`col = NULL` is never true of any row). Any
-// other WHERE shape reports ok=false and the caller walks the heap.
+// over an indexed column of the mutated table — the same match
+// (eqConjunct) and lookup (eqIndexIDs) the planner's access path uses.
+// The returned ids are precisely the rows the statement snapshot sees the
+// predicate holding for, ascending — the order the heap walk would visit
+// them — and are private to the caller. Any other WHERE shape reports
+// ok=false and the caller walks the heap.
 func dmlEqualityIDs(t *Table, where Expr, params []Value, qc *queryCtx) ([]int, bool) {
-	b, ok := where.(*BinaryOp)
-	if !ok || b.Op != "=" {
-		return nil, false
-	}
-	cr, comparand := dmlEqualitySides(b.Left, b.Right)
-	if cr == nil {
-		cr, comparand = dmlEqualitySides(b.Right, b.Left)
-	}
-	if cr == nil {
+	cr, v, ok := eqConjunct(where, params)
+	if !ok {
 		return nil, false
 	}
 	if cr.Table != "" && !strings.EqualFold(cr.Table, t.Name) {
@@ -618,40 +611,7 @@ func dmlEqualityIDs(t *Table, where Expr, params []Value, qc *queryCtx) ([]int, 
 	if !ok {
 		return nil, false
 	}
-	var v Value
-	switch c := comparand.(type) {
-	case *Literal:
-		v = c.Val
-	case *Param:
-		if c.Index < 0 || c.Index >= len(params) {
-			return nil, false // the arity error surfaces from the slow path
-		}
-		v = params[c.Index]
-	}
-	v = coerce(v, t.Columns[idx.Column].Type)
-	if v.IsNull() {
-		return []int{}, true
-	}
-	ids := visibleEqIDs(t, idx, v, qc.snap)
-	if ids == nil {
-		ids = []int{}
-	}
-	return ids, true
-}
-
-// dmlEqualitySides matches one orientation of `col = comparand`, where
-// the comparand is a literal or parameter (never a column or anything
-// that could error or read state).
-func dmlEqualitySides(a, b Expr) (*ColumnRef, Expr) {
-	cr, ok := a.(*ColumnRef)
-	if !ok {
-		return nil, nil
-	}
-	switch b.(type) {
-	case *Literal, *Param:
-		return cr, b
-	}
-	return nil, nil
+	return eqIndexIDs(t, idx, v, qc.snap), true
 }
 
 // dmlWhereIDs resolves a DML WHERE to the exact live row ids it holds
@@ -667,13 +627,10 @@ func dmlWhereIDs(t *Table, where Expr, params []Value, qc *queryCtx) ([]int, boo
 // dmlRangeIDs serves a DML WHERE whose conjuncts are all range-shaped
 // over the same indexed column (`col > x`, `x <= col`, `col BETWEEN lo
 // AND hi`, with literal or parameter bounds) from the index's ordered
-// view: the conjuncts tighten into one key range and collectRangeIDs
-// yields exactly the live ids the heap walk would match, ascending — the
-// order the walk would visit them. Bounds stay uncoerced on purpose: the
-// heap walk compares raw values via Value.Compare and the ordered view
-// sorts by the same Compare, so raw bounds reproduce its semantics
-// exactly. A NULL bound makes the WHERE NULL for every row, so it
-// matches nothing.
+// view: the conjuncts (matched by the planner's rangeConjunct) tighten
+// into one key range and collectRangeIDs yields exactly the live ids the
+// heap walk would match, ascending — the order the walk would visit them.
+// A NULL bound makes the WHERE NULL for every row, so it matches nothing.
 func dmlRangeIDs(t *Table, where Expr, params []Value, qc *queryCtx) ([]int, bool) {
 	if where == nil {
 		return nil, false
@@ -682,7 +639,7 @@ func dmlRangeIDs(t *Table, where Expr, params []Value, qc *queryCtx) ([]int, boo
 	var spec rangeSpec
 	nullBound := false
 	for _, c := range splitConjuncts(where) {
-		cr, cs, nullB, ok := dmlRangeConjunct(c, params)
+		cr, cs, nullB, ok := rangeConjunct(c, params)
 		if !ok {
 			return nil, false
 		}
@@ -714,97 +671,6 @@ func dmlRangeIDs(t *Table, where Expr, params []Value, qc *queryCtx) ([]int, boo
 		qc.tombstonesSkipped += skipped
 	}
 	return ids, true
-}
-
-// dmlRangeConjunct matches one range-shaped DML conjunct — the
-// parameter-aware counterpart of the planner's rangeConjunct. Returns
-// the referenced column, the bound it contributes, whether the bound
-// resolved to NULL, and whether the conjunct had a range shape at all.
-func dmlRangeConjunct(c Expr, params []Value) (*ColumnRef, rangeSpec, bool, bool) {
-	switch t := c.(type) {
-	case *BinaryOp:
-		var op string
-		var boundE Expr
-		col, ok := t.Left.(*ColumnRef)
-		if ok {
-			op, boundE = t.Op, t.Right
-		} else if col, ok = t.Right.(*ColumnRef); ok {
-			boundE = t.Left
-			// Flip the comparison around the bound: `5 < col` is `col > 5`.
-			switch t.Op {
-			case "<":
-				op = ">"
-			case "<=":
-				op = ">="
-			case ">":
-				op = "<"
-			case ">=":
-				op = "<="
-			default:
-				op = t.Op
-			}
-		} else {
-			return nil, rangeSpec{}, false, false
-		}
-		switch op {
-		case ">", ">=", "<", "<=":
-		default:
-			return nil, rangeSpec{}, false, false
-		}
-		v, ok := dmlBoundValue(boundE, params)
-		if !ok {
-			return nil, rangeSpec{}, false, false
-		}
-		if v.IsNull() {
-			return col, rangeSpec{}, true, true
-		}
-		switch op {
-		case ">":
-			return col, rangeSpec{lo: &rangeBound{val: v}}, false, true
-		case ">=":
-			return col, rangeSpec{lo: &rangeBound{val: v, incl: true}}, false, true
-		case "<":
-			return col, rangeSpec{hi: &rangeBound{val: v}}, false, true
-		default: // "<="
-			return col, rangeSpec{hi: &rangeBound{val: v, incl: true}}, false, true
-		}
-	case *Between:
-		if t.Not {
-			return nil, rangeSpec{}, false, false
-		}
-		col, ok := t.Expr.(*ColumnRef)
-		if !ok {
-			return nil, rangeSpec{}, false, false
-		}
-		lo, ok1 := dmlBoundValue(t.Lo, params)
-		hi, ok2 := dmlBoundValue(t.Hi, params)
-		if !ok1 || !ok2 {
-			return nil, rangeSpec{}, false, false
-		}
-		if lo.IsNull() || hi.IsNull() {
-			return col, rangeSpec{}, true, true
-		}
-		return col, rangeSpec{
-			lo: &rangeBound{val: lo, incl: true},
-			hi: &rangeBound{val: hi, incl: true},
-		}, false, true
-	}
-	return nil, rangeSpec{}, false, false
-}
-
-// dmlBoundValue resolves a range bound that is a literal or a bound ?
-// parameter; anything else (a column, an expression) reports false.
-func dmlBoundValue(e Expr, params []Value) (Value, bool) {
-	switch c := e.(type) {
-	case *Literal:
-		return c.Val, true
-	case *Param:
-		if c.Index < 0 || c.Index >= len(params) {
-			return Null, false // the arity error surfaces from the slow path
-		}
-		return params[c.Index], true
-	}
-	return Null, false
 }
 
 // execUpdateSnapshot is the two-phase UPDATE path for statements whose

@@ -29,14 +29,20 @@ type operator interface {
 // rowArena hands out output rows carved from larger blocks, amortising the
 // one-allocation-per-row cost of joins and projections. Rows escape into
 // results, so blocks are never reused; capacities are clamped so appends on
-// a handed-out row can never clobber a neighbour.
+// a handed-out row can never clobber a neighbour. A reusing arena
+// (markTransient) hands out one row over and over instead.
 type rowArena struct {
-	buf []Value
+	buf   []Value
+	reuse bool
+	last  Row
 }
 
 const rowArenaBlock = 1024
 
 func (a *rowArena) alloc(n int) Row {
+	if a.reuse && a.last != nil && len(a.last) == n {
+		return a.last
+	}
 	if n == 0 {
 		return Row{}
 	}
@@ -49,7 +55,35 @@ func (a *rowArena) alloc(n int) Row {
 	}
 	r := a.buf[:n:n]
 	a.buf = a.buf[n:]
+	if a.reuse {
+		a.last = r
+	}
 	return r
+}
+
+// markTransient declares that op's consumer is done with each row before
+// it pulls the next — true of everything below a statement's projection
+// or aggregation, which copy values out (a first-seen group clones its
+// representative row). The operators along op's streamed spine then
+// build their output in one reused row instead of a fresh row each.
+// Drained inputs (join build sides, materialised nested-loop sides) are
+// not on the spine and keep fresh rows.
+func markTransient(op operator) {
+	switch t := op.(type) {
+	case *filterOp:
+		markTransient(t.child)
+	case *vecScanOp:
+		t.arena.reuse = true
+	case *hashJoinOp:
+		t.arena.reuse = true
+		markTransient(t.probe)
+	case *indexJoinOp:
+		t.arena.reuse = true
+		markTransient(t.probe)
+	case *nestedLoopJoinOp:
+		t.arena.reuse = true
+		markTransient(t.left)
+	}
 }
 
 // ---------------------------------------------------------------------------
@@ -531,7 +565,7 @@ func newHashJoinOp(probe operator, buildCols []colInfo, buildRows []Row,
 	// otherwise. Both paths produce identical buckets (parallel shards keep
 	// global row order), so probe results are bit-identical.
 	if db != nil && qc != nil && db.maxWorkers > 1 &&
-		len(buildRows) >= parallelMinRows && parallelSafeExpr(buildKeyE) {
+		len(buildRows) >= batchMinRows && parallelSafeExpr(buildKeyE) {
 		if err := h.buildParallel(buildRows, buildKeyE, db, params, outer); err != nil {
 			return nil, err
 		}
@@ -598,6 +632,8 @@ type indexJoinOp struct {
 	idxKeyE   Expr // retained for EXPLAIN
 	residualE Expr // retained for EXPLAIN
 	curRows   []Row
+	ids       []int  // posting-list scratch, reused per probe
+	kb        []byte // key scratch, reused per candidate
 }
 
 func newIndexJoinOp(probe operator, table *Table, idx *Index, idxCols []colInfo,
@@ -626,15 +662,19 @@ func newIndexJoinOp(probe operator, table *Table, idx *Index, idxCols []colInfo,
 	// it against the statement snapshot (the posting is a superset under
 	// MVCC — old and rolled-back versions linger until vacuum).
 	j.lookup = func(key []byte) int {
-		k := string(key)
 		var snap *snapshot
 		if qc != nil {
 			snap = qc.snap
 		}
 		j.curRows = j.curRows[:0]
-		for _, id := range j.idx.copyIDs(k) {
+		j.ids = j.idx.appendIDs(j.ids[:0], key)
+		for _, id := range j.ids {
 			r := j.table.visibleRow(id, snap)
-			if r != nil && r[j.idx.Column].Key() == k {
+			if r == nil {
+				continue
+			}
+			j.kb = appendValueKey(j.kb[:0], r[j.idx.Column])
+			if string(j.kb) == string(key) {
 				j.curRows = append(j.curRows, r)
 			}
 		}
@@ -1010,7 +1050,7 @@ func buildFrom(stmt *SelectStmt, db *Database, params []Value, outer *evalEnv, t
 			continue
 		}
 		if sc, ok := inputs[i].(*scanOp); ok {
-			cs = chooseScanAccess(sc, cs)
+			cs = chooseScanAccess(sc, cs, params)
 		}
 		if rest := joinConjuncts(cs); rest != nil {
 			f, err := newFilterOp(inputs[i], rest, db, params, outer, qc)
@@ -1046,10 +1086,20 @@ func buildFrom(stmt *SelectStmt, db *Database, params []Value, outer *evalEnv, t
 	// may still differ, which SQL leaves unspecified).
 	allowReorder := topLevel && len(stmt.OrderBy) > 0 && stmt.Limit == nil && stmt.Offset == nil
 
+	// Inputs a join streams (probe sides) or drains (build and nested-loop
+	// sides) run through the batch pipeline once the join strategy that
+	// needs the bare scans (merge, index probes) has been decided.
+	pool := poolScan(stmt, topLevel, outer, false)
+	batched := func(op operator) operator {
+		op, _ = tryVectorize(op, db, params, qc, pool)
+		return op
+	}
+
 	for ji, jc := range stmt.Joins {
 		rightOp := inputs[ji+1]
 		rightCols := rightOp.columns()
 		if jc.Kind == JoinCross {
+			left, rightOp = batched(left), batched(rightOp)
 			rightRows, err := drain(rightOp)
 			if err != nil {
 				return nil, nil, err
@@ -1065,6 +1115,7 @@ func buildFrom(stmt *SelectStmt, db *Database, params []Value, outer *evalEnv, t
 		leftOuter := jc.Kind == JoinLeft
 		leftKey, rightKey, residual := splitEquiJoin(jc.On, left.columns(), rightCols)
 		if leftKey == nil {
+			left, rightOp = batched(left), batched(rightOp)
 			rightRows, err := drain(rightOp)
 			if err != nil {
 				return nil, nil, err
@@ -1103,7 +1154,7 @@ func buildFrom(stmt *SelectStmt, db *Database, params []Value, outer *evalEnv, t
 		// whose join column has an equality index.
 		if rsc, ok := rightOp.(*scanOp); ok && unrestrictedScan(rsc) {
 			if idx := indexForJoinKey(rsc, rightKey); idx != nil {
-				ij, err := newIndexJoinOp(left, rsc.table, idx, rightCols,
+				ij, err := newIndexJoinOp(batched(left), rsc.table, idx, rightCols,
 					leftKey, rightKey, residual, true, leftOuter, db, params, outer, qc)
 				if err != nil {
 					return nil, nil, err
@@ -1118,7 +1169,7 @@ func buildFrom(stmt *SelectStmt, db *Database, params []Value, outer *evalEnv, t
 		if allowReorder && !leftOuter {
 			if lsc, ok := left.(*scanOp); ok && unrestrictedScan(lsc) {
 				if idx := indexForJoinKey(lsc, leftKey); idx != nil {
-					ij, err := newIndexJoinOp(rightOp, lsc.table, idx, left.columns(),
+					ij, err := newIndexJoinOp(batched(rightOp), lsc.table, idx, left.columns(),
 						rightKey, leftKey, residual, false, false, db, params, outer, qc)
 					if err != nil {
 						return nil, nil, err
@@ -1129,6 +1180,7 @@ func buildFrom(stmt *SelectStmt, db *Database, params []Value, outer *evalEnv, t
 			}
 		}
 
+		rightOp = batched(rightOp)
 		rightRows, err := drain(rightOp)
 		if err != nil {
 			return nil, nil, err
@@ -1140,6 +1192,7 @@ func buildFrom(stmt *SelectStmt, db *Database, params []Value, outer *evalEnv, t
 				buildLeft = true
 			}
 		}
+		left = batched(left)
 		var h *hashJoinOp
 		if buildLeft {
 			leftRows, err := drain(left)
@@ -1334,56 +1387,40 @@ func pushdownConjuncts(stmt *SelectStmt, inputs []operator) (pushed [][]Expr, ke
 }
 
 // chooseScanAccess serves what it can of a scan's conjuncts from the
-// table's indexes and returns the remainder. Preference order: a single
-// `col = literal` equality over an indexed column (hash lookup), then the
-// combined range bounds (>, >=, <, <=, BETWEEN with literal bounds) of
-// the first indexed column that has any. Equality ids are sorted
-// ascending and range ids materialise in heap order (ordidx.go), so
-// either access path emits rows exactly as a filtered full scan would.
-func chooseScanAccess(sc *scanOp, conjuncts []Expr) []Expr {
+// table's indexes and returns the remainder. Comparands are literals or
+// bound ? parameters (constOperand), so a parameterised statement takes
+// the same access path as its literal twin. Preference order: a single
+// `col = v` equality over an indexed column (hash lookup), then the
+// combined range bounds (>, >=, <, <=, BETWEEN) of the first indexed
+// column that has any. Equality ids are sorted ascending and range ids
+// materialise in heap order (ordidx.go), so either access path emits rows
+// exactly as a filtered full scan would.
+func chooseScanAccess(sc *scanOp, conjuncts []Expr, params []Value) []Expr {
 	for i, c := range conjuncts {
-		b, ok := c.(*BinaryOp)
-		if !ok || b.Op != "=" {
-			continue
-		}
-		col, lit := asColLiteral(b.Left, b.Right)
-		if col == nil {
-			col, lit = asColLiteral(b.Right, b.Left)
-		}
-		if col == nil {
+		col, v, ok := eqConjunct(c, params)
+		if !ok {
 			continue
 		}
 		idx := scanIndexFor(sc, col)
 		if idx == nil {
 			continue
 		}
-		v := coerce(lit.Val, sc.table.Columns[idx.Column].Type)
-		if v.IsNull() {
-			// `col = NULL` is never true; serving the NULL key's ids here
-			// would wrongly return the NULL-valued rows (the conjunct is
-			// removed from the filter). Found by the NoREC metamorphic
-			// property: the filtered count must match the per-row count.
-			sc.ids = []int{}
-		} else {
-			var snap *snapshot
-			if sc.qc != nil {
-				snap = sc.qc.snap
-			}
-			ids := visibleEqIDs(sc.table, idx, v, snap)
-			if ids == nil {
-				ids = []int{} // non-nil: an empty restriction, not a full scan
-			}
-			sc.ids = ids
+		var snap *snapshot
+		if sc.qc != nil {
+			snap = sc.qc.snap
 		}
+		sc.ids = eqIndexIDs(sc.table, idx, v, snap)
 		return append(append([]Expr{}, conjuncts[:i]...), conjuncts[i+1:]...)
 	}
 
 	// Range: find the first indexed column with a range conjunct, then
-	// absorb every range conjunct on that column into one bound pair.
+	// absorb every range conjunct on that column into one bound pair. A
+	// NULL bound leaves its conjunct to the filter (it is NULL, so false,
+	// for every row).
 	var target *Index
 	for _, c := range conjuncts {
-		col, _, ok := rangeConjunct(c)
-		if !ok {
+		col, _, nullB, ok := rangeConjunct(c, params)
+		if !ok || nullB {
 			continue
 		}
 		if idx := scanIndexFor(sc, col); idx != nil {
@@ -1397,8 +1434,8 @@ func chooseScanAccess(sc *scanOp, conjuncts []Expr) []Expr {
 	var spec rangeSpec
 	rest := conjuncts[:0:0]
 	for _, c := range conjuncts {
-		col, cs, ok := rangeConjunct(c)
-		if !ok || scanIndexFor(sc, col) != target {
+		col, cs, nullB, ok := rangeConjunct(c, params)
+		if !ok || nullB || scanIndexFor(sc, col) != target {
 			rest = append(rest, c)
 			continue
 		}
@@ -1408,6 +1445,25 @@ func chooseScanAccess(sc *scanOp, conjuncts []Expr) []Expr {
 	sc.rangeIdx = target
 	sc.spec = spec
 	return rest
+}
+
+// eqIndexIDs returns the ids of the rows the snapshot sees holding v in
+// the indexed column, ascending and never nil (an empty restriction, not
+// a full scan). v is looked up as is: the key encoding respects
+// Value.Compare's equivalence classes, so the ids are exactly the rows
+// for which the filter `col = v` holds — a text comparand never matches
+// a numeric column, as in the row engine. A NULL comparand matches
+// nothing (`col = NULL` is never true); serving the NULL key's ids would
+// return the NULL-valued rows, the bug the NoREC property once found.
+func eqIndexIDs(t *Table, idx *Index, v Value, snap *snapshot) []int {
+	if v.IsNull() {
+		return []int{}
+	}
+	ids := visibleEqIDs(t, idx, v, snap)
+	if ids == nil {
+		ids = []int{}
+	}
+	return ids
 }
 
 // tryCorrelatedProbe rewrites the first conjunct of shape
@@ -1498,21 +1554,60 @@ func scanIndexFor(sc *scanOp, col *ColumnRef) *Index {
 	return sc.table.idxs()[strings.ToLower(col.Column)]
 }
 
-// rangeConjunct decomposes a conjunct into a column reference and the
-// range bounds it contributes: `col > lit`, `>=`, `<`, `<=` (either
-// operand order) and `col BETWEEN lo AND hi` with literal bounds. NULL
-// literals never match a range (the predicate is NULL for every row), so
-// they are left to the filter.
-func rangeConjunct(c Expr) (*ColumnRef, rangeSpec, bool) {
+// constOperand resolves a comparand that is a literal or a bound ?
+// parameter. Anything else — a column, an expression, a parameter the
+// call did not bind (its arity error surfaces from the filter) — reports
+// false. It is the one place the planner's access paths and DML's index
+// fast paths read comparands from.
+func constOperand(e Expr, params []Value) (Value, bool) {
+	switch c := e.(type) {
+	case *Literal:
+		return c.Val, true
+	case *Param:
+		if c.Index >= 0 && c.Index < len(params) {
+			return params[c.Index], true
+		}
+	}
+	return Null, false
+}
+
+// eqConjunct matches `col = v` in either operand order, with v a literal
+// or bound parameter.
+func eqConjunct(c Expr, params []Value) (*ColumnRef, Value, bool) {
+	b, ok := c.(*BinaryOp)
+	if !ok || b.Op != "=" {
+		return nil, Null, false
+	}
+	if col, ok := b.Left.(*ColumnRef); ok {
+		if v, ok := constOperand(b.Right, params); ok {
+			return col, v, true
+		}
+	}
+	if col, ok := b.Right.(*ColumnRef); ok {
+		if v, ok := constOperand(b.Left, params); ok {
+			return col, v, true
+		}
+	}
+	return nil, Null, false
+}
+
+// rangeConjunct decomposes a range-shaped conjunct — `col > v`, `>=`,
+// `<`, `<=` (either operand order) or `col BETWEEN lo AND hi`, with
+// literal or bound-parameter bounds — into the column and the bounds it
+// contributes. nullBound reports a NULL bound: the conjunct is then NULL
+// for every row. Bounds stay uncoerced on purpose: the filter compares
+// raw values via Value.Compare and the ordered view sorts by the same
+// Compare, so raw bounds reproduce its semantics exactly.
+func rangeConjunct(c Expr, params []Value) (col *ColumnRef, spec rangeSpec, nullBound, ok bool) {
 	switch t := c.(type) {
 	case *BinaryOp:
 		var op string
-		col, lit := asColLiteral(t.Left, t.Right)
-		if col != nil {
-			op = t.Op
-		} else {
-			col, lit = asColLiteral(t.Right, t.Left)
-			// Flip the comparison around the literal: `5 < col` is `col > 5`.
+		var boundE Expr
+		if col, ok = t.Left.(*ColumnRef); ok {
+			op, boundE = t.Op, t.Right
+		} else if col, ok = t.Right.(*ColumnRef); ok {
+			boundE = t.Left
+			// Flip the comparison around the bound: `5 < col` is `col > 5`.
 			switch t.Op {
 			case "<":
 				op = ">"
@@ -1522,51 +1617,46 @@ func rangeConjunct(c Expr) (*ColumnRef, rangeSpec, bool) {
 				op = "<"
 			case ">=":
 				op = "<="
-			default:
-				op = t.Op
 			}
+		} else {
+			return nil, rangeSpec{}, false, false
 		}
-		if col == nil || lit.Val.IsNull() {
-			return nil, rangeSpec{}, false
+		v, isConst := constOperand(boundE, params)
+		if !isConst {
+			return nil, rangeSpec{}, false, false
 		}
 		switch op {
 		case ">":
-			return col, rangeSpec{lo: &rangeBound{val: lit.Val}}, true
+			spec.lo = &rangeBound{val: v}
 		case ">=":
-			return col, rangeSpec{lo: &rangeBound{val: lit.Val, incl: true}}, true
+			spec.lo = &rangeBound{val: v, incl: true}
 		case "<":
-			return col, rangeSpec{hi: &rangeBound{val: lit.Val}}, true
+			spec.hi = &rangeBound{val: v}
 		case "<=":
-			return col, rangeSpec{hi: &rangeBound{val: lit.Val, incl: true}}, true
+			spec.hi = &rangeBound{val: v, incl: true}
+		default:
+			return nil, rangeSpec{}, false, false
 		}
+		return col, spec, v.IsNull(), true
 	case *Between:
 		if t.Not {
-			return nil, rangeSpec{}, false
+			return nil, rangeSpec{}, false, false
 		}
-		col, ok := t.Expr.(*ColumnRef)
-		if !ok {
-			return nil, rangeSpec{}, false
+		if col, ok = t.Expr.(*ColumnRef); !ok {
+			return nil, rangeSpec{}, false, false
 		}
-		lo, ok1 := t.Lo.(*Literal)
-		hi, ok2 := t.Hi.(*Literal)
-		if !ok1 || !ok2 || lo.Val.IsNull() || hi.Val.IsNull() {
-			return nil, rangeSpec{}, false
+		lo, ok1 := constOperand(t.Lo, params)
+		hi, ok2 := constOperand(t.Hi, params)
+		if !ok1 || !ok2 {
+			return nil, rangeSpec{}, false, false
 		}
-		return col, rangeSpec{
-			lo: &rangeBound{val: lo.Val, incl: true},
-			hi: &rangeBound{val: hi.Val, incl: true},
-		}, true
+		spec = rangeSpec{
+			lo: &rangeBound{val: lo, incl: true},
+			hi: &rangeBound{val: hi, incl: true},
+		}
+		return col, spec, lo.IsNull() || hi.IsNull(), true
 	}
-	return nil, rangeSpec{}, false
-}
-
-func asColLiteral(a, b Expr) (*ColumnRef, *Literal) {
-	col, ok1 := a.(*ColumnRef)
-	lit, ok2 := b.(*Literal)
-	if ok1 && ok2 {
-		return col, lit
-	}
-	return nil, nil
+	return nil, rangeSpec{}, false, false
 }
 
 // splitConjuncts flattens a tree of ANDs into a list.

@@ -123,8 +123,8 @@ func (p *planPrinter) describe(op operator, depth int) {
 	case *groupOp:
 		parNote := ""
 		switch {
-		case t.par != nil:
-			parNote = fmt.Sprintf(" (parallel workers=%d)", t.par.workers)
+		case t.vec != nil && t.vec.workers > 1:
+			parNote = fmt.Sprintf(" (vectorized workers=%d)", t.vec.workers)
 		case t.vec != nil:
 			parNote = " (vectorized)"
 		}
@@ -172,38 +172,17 @@ func (p *planPrinter) describe(op operator, depth int) {
 			p.extra = scanAnnotation(t.scanned, t.tombSkipped) +
 				fmt.Sprintf(" batches=%d", t.batches)
 			if t.decBlocks > 0 {
-				p.extra += fmt.Sprintf(" segments=%d decoded_blocks=%d", len(t.segs), t.decBlocks)
+				p.extra += fmt.Sprintf(" segments=%d decoded_blocks=%d", len(t.src.segs), t.decBlocks)
 			}
 		}
-		p.emit(depth, "vectorized seq scan %s (as %s): %d row(s)",
-			t.table.Name, t.qual, t.table.liveCount())
+		workers := ""
+		if t.workers > 1 {
+			workers = fmt.Sprintf(" workers=%d", t.workers)
+		}
+		p.emit(depth, "vectorized seq scan %s (as %s)%s: %d row(s)",
+			t.table.Name, t.qual, workers, t.table.liveCount())
 		for _, pred := range t.preds {
 			p.emit(depth+1, "fused filter %s", pred.String())
-		}
-	case *parScanOp:
-		gatherNote := ""
-		if t.unordered {
-			gatherNote = " (unordered gather)"
-		}
-		if analyzed {
-			p.extra = scanAnnotation(t.scanned, t.tombSkipped) + fmt.Sprintf(" workers=%d", t.workers)
-			if t.decBlocks > 0 {
-				p.extra += fmt.Sprintf(" decoded_blocks=%d", t.decBlocks)
-			}
-		}
-		switch {
-		case t.rangeIdx != nil:
-			p.emit(depth, "parallel index range scan %s (as %s) workers=%d%s: %s", t.table.Name, t.qual,
-				t.workers, gatherNote, t.spec.describe(t.table.Columns[t.rangeIdx.Column].Name))
-		case t.ids != nil:
-			p.emit(depth, "parallel index scan %s (as %s) workers=%d%s: %d candidate row(s)",
-				t.table.Name, t.qual, t.workers, gatherNote, len(t.ids))
-		default:
-			p.emit(depth, "parallel seq scan %s (as %s) workers=%d%s: %d row(s)",
-				t.table.Name, t.qual, t.workers, gatherNote, t.table.liveCount())
-		}
-		if t.pred != nil {
-			p.emit(depth+1, "fused filter %s", t.pred.String())
 		}
 	case *ordScanOp:
 		col := t.table.Columns[t.idx.Column].Name

@@ -1,6 +1,7 @@
 package sqldb
 
 import (
+	"context"
 	"strings"
 	"testing"
 )
@@ -37,6 +38,55 @@ func TestExplainIndexScan(t *testing.T) {
 	}
 	if strings.Contains(out, "filter") {
 		t.Errorf("index-served predicate should be removed from the filter:\n%s", out)
+	}
+}
+
+// TestExplainParamsBindIntoIndexAccess: a ? parameter serves the same
+// index access paths as a literal — `id = ?` is an index lookup that reads
+// one row, `day BETWEEN ? AND ?` an index range scan — and a NULL
+// parameter is an empty lookup. An unbound parameter leaves the
+// predicate to the filter, which reports the arity error.
+func TestExplainParamsBindIntoIndexAccess(t *testing.T) {
+	db := NewDatabase()
+	db.MustExec("CREATE TABLE p (id INTEGER PRIMARY KEY, day INTEGER, v TEXT)")
+	db.MustExec("CREATE INDEX p_day ON p (day)")
+	for i := 0; i < 500; i++ {
+		db.MustExec("INSERT INTO p VALUES (?, ?, ?)", i, i%50, "v")
+	}
+	plan := func(sql string, params ...any) string {
+		t.Helper()
+		lines, err := db.Explain(sql, params...)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return explainJoined(t, lines)
+	}
+	if out := plan("SELECT v FROM p WHERE id = ?", 42); !strings.Contains(out, "index scan p (as p): 1 candidate row(s)") ||
+		strings.Contains(out, "filter") {
+		t.Fatalf("id = ? did not plan an index lookup:\n%s", out)
+	}
+	if out := plan("SELECT COUNT(*) FROM p WHERE day BETWEEN ? AND ?", 3, 5); !strings.Contains(out, "index range scan p (as p)") {
+		t.Fatalf("day BETWEEN ? AND ? did not plan an index range scan:\n%s", out)
+	}
+	if out := plan("SELECT v FROM p WHERE id = ?", nil); !strings.Contains(out, "index scan p (as p): 0 candidate row(s)") {
+		t.Fatalf("id = NULL parameter should be an empty lookup:\n%s", out)
+	}
+
+	rows, err := db.QueryRows(context.Background(), "SELECT v FROM p WHERE id = ?", 42)
+	if err != nil {
+		t.Fatal(err)
+	}
+	n := 0
+	for rows.Next() {
+		n++
+	}
+	st := rows.Stats()
+	rows.Close()
+	if n != 1 || st.RowsScanned != 1 || st.FullScans != 0 {
+		t.Fatalf("id = ? returned %d rows, scanned %d, full scans %d; want 1, 1, 0", n, st.RowsScanned, st.FullScans)
+	}
+	if _, err := db.Query("SELECT v FROM p WHERE id = ?"); CodeOf(err) != ErrParams {
+		t.Fatalf("unbound parameter: err = %v, want ErrParams", err)
 	}
 }
 

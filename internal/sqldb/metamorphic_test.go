@@ -4,6 +4,8 @@ import (
 	"fmt"
 	"math/rand"
 	"sort"
+	"strconv"
+	"strings"
 	"testing"
 )
 
@@ -28,6 +30,9 @@ import (
 //
 // Both run over an indexed and a plain database executing the same DML,
 // so the properties hold on every access path the planner can choose.
+// Parameterised predicates (checkParamForms) must also agree with their
+// literal twins and with the unindexed database, whatever the kind of
+// the bound value.
 
 // metamorphicDBs builds the mutable corpus table with and without
 // indexes. Options (e.g. WithMaxWorkers) apply to both databases.
@@ -75,14 +80,15 @@ func metamorphicPred(r *rand.Rand) string {
 	return p
 }
 
-// checkNoREC asserts the NoREC property for predicate p on db.
-func checkNoREC(db *Database, pred string) error {
-	filtered, err := db.Query("SELECT COUNT(*) FROM m WHERE " + pred)
+// checkNoREC asserts the NoREC property for predicate p on db, with
+// params bound to p's ? placeholders.
+func checkNoREC(db *Database, pred string, params ...any) error {
+	filtered, err := db.Query("SELECT COUNT(*) FROM m WHERE "+pred, params...)
 	if err != nil {
 		return fmt.Errorf("NoREC filtered query (%s): %v", pred, err)
 	}
 	optimized := filtered.Rows[0][0].AsInt()
-	projected, err := db.Query("SELECT (" + pred + ") FROM m")
+	projected, err := db.Query("SELECT ("+pred+") FROM m", params...)
 	if err != nil {
 		return fmt.Errorf("NoREC projected query (%s): %v", pred, err)
 	}
@@ -120,8 +126,9 @@ func rowMultiset(res *Result) []string {
 	return out
 }
 
-// checkTLP asserts the ternary-logic-partitioning property for p on db.
-func checkTLP(db *Database, pred string) error {
+// checkTLP asserts the ternary-logic-partitioning property for p on db,
+// with params bound to p's ? placeholders in every partition.
+func checkTLP(db *Database, pred string, params ...any) error {
 	full, err := db.Query("SELECT id, a, b, c FROM m")
 	if err != nil {
 		return fmt.Errorf("TLP full query: %v", err)
@@ -132,7 +139,7 @@ func checkTLP(db *Database, pred string) error {
 		"NOT (" + pred + ")",
 		"(" + pred + ") IS NULL",
 	} {
-		res, err := db.Query("SELECT id, a, b, c FROM m WHERE " + where)
+		res, err := db.Query("SELECT id, a, b, c FROM m WHERE "+where, params...)
 		if err != nil {
 			return fmt.Errorf("TLP partition %q: %v", where, err)
 		}
@@ -148,6 +155,93 @@ func checkTLP(db *Database, pred string) error {
 		if parts[i] != want[i] {
 			return fmt.Errorf("TLP violated for %q: partition union diverges at %q vs %q",
 				pred, parts[i], want[i])
+		}
+	}
+	return nil
+}
+
+// paramPred generates a predicate over the indexed column whose
+// comparands are ? parameters — `a = ?` or `a BETWEEN ? AND ?` — together
+// with its bound values and its literal twin. Values are INT, REAL
+// (integral and not), TEXT (numeric-looking and not) and NULL.
+func paramPred(r *rand.Rand) (pred string, params []any, literal string) {
+	val := func() (any, string) {
+		switch r.Intn(5) {
+		case 0:
+			n := r.Intn(30)
+			return n, strconv.Itoa(n)
+		case 1:
+			f := float64(r.Intn(60)) / 2
+			return f, strconv.FormatFloat(f, 'f', 1, 64)
+		case 2:
+			s := strconv.Itoa(r.Intn(30))
+			return s, "'" + s + "'"
+		case 3:
+			s := []string{"ant", "bee", "cat"}[r.Intn(3)]
+			return s, "'" + s + "'"
+		default:
+			return nil, "NULL"
+		}
+	}
+	if r.Intn(2) == 0 {
+		v, lit := val()
+		return "a = ?", []any{v}, "a = " + lit
+	}
+	lo, loLit := val()
+	hi, hiLit := val()
+	return "a BETWEEN ? AND ?", []any{lo, hi}, "a BETWEEN " + loLit + " AND " + hiLit
+}
+
+// checkParamForms asserts that a parameterised predicate — served by the
+// equality or range index on the indexed database — satisfies NoREC and
+// TLP on both databases (alone, and ANDed with a literal predicate), that
+// it selects exactly the rows of its literal twin, and that it selects
+// the same (id, a) rows on the indexed and the unindexed database. The
+// two databases share id and a but not b and c, so the cross-database
+// comparison uses the parameterised predicate alone.
+func checkParamForms(indexed, plain *Database, r *rand.Rand) error {
+	pred, params, literal := paramPred(r)
+	rest := metamorphicPred(r)
+	var ids []string
+	for i, db := range []*Database{indexed, plain} {
+		for _, p := range []string{pred, pred + " AND " + rest} {
+			if err := checkNoREC(db, p, params...); err != nil {
+				return fmt.Errorf("%v (params %v)", err, params)
+			}
+			if err := checkTLP(db, p, params...); err != nil {
+				return fmt.Errorf("%v (params %v)", err, params)
+			}
+		}
+		rows := func(cols, where string, params ...any) (string, error) {
+			res, err := db.Query("SELECT "+cols+" FROM m WHERE "+where, params...)
+			if err != nil {
+				return "", fmt.Errorf("%q: %v", where, err)
+			}
+			return strings.Join(rowMultiset(res), ","), nil
+		}
+		for _, cols := range []string{"id, a", "id, a, b, c"} {
+			for _, w := range [][2]string{{pred, literal}, {pred + " AND " + rest, literal + " AND " + rest}} {
+				bound, err := rows(cols, w[0], params...)
+				if err != nil {
+					return err
+				}
+				lit, err := rows(cols, w[1])
+				if err != nil {
+					return err
+				}
+				if bound != lit {
+					return fmt.Errorf("db %d: %q with %v selects other rows than %q", i, w[0], params, w[1])
+				}
+			}
+		}
+		got, err := rows("id, a", pred, params...)
+		if err != nil {
+			return err
+		}
+		if i == 0 {
+			ids = []string{got}
+		} else if got != ids[0] {
+			return fmt.Errorf("%q with %v: indexed and unindexed databases select different rows", pred, params)
 		}
 	}
 	return nil
@@ -206,6 +300,10 @@ func metamorphicProperty(r *rand.Rand, steps int, opts ...Option) error {
 			if err := checkTLP(db, pred); err != nil {
 				return fmt.Errorf("step %d: %v", step, err)
 			}
+		}
+		// A separate generator, so the literal corpus above is unchanged.
+		if err := checkParamForms(indexed, plain, rand.New(rand.NewSource(int64(step)))); err != nil {
+			return fmt.Errorf("step %d: %v", step, err)
 		}
 	}
 	return nil
@@ -329,12 +427,12 @@ func TestMetamorphicNoRECAndTLP(t *testing.T) {
 }
 
 // TestMetamorphicNoRECAndTLPParallel re-runs the NoREC/TLP suite with a
-// forced worker pool and the parallel threshold lowered below the corpus
-// size, so the filtered/projected/partitioned queries take the morsel-
-// parallel scan and parallel aggregation paths (COUNT(*) goes through
-// runAggregationParallel) while the same DML churns the table.
+// forced worker pool and the batch threshold lowered below the corpus
+// size, so the filtered/projected/partitioned queries take the parallel
+// batch scan and parallel aggregation paths (COUNT(*) folds per-worker
+// partials in runAggregationVec) while the same DML churns the table.
 func TestMetamorphicNoRECAndTLPParallel(t *testing.T) {
-	lowerParallelMinRows(t, 8)
+	lowerBatchMinRows(t, 8)
 	if err := metamorphicProperty(rand.New(rand.NewSource(47)), 400, WithMaxWorkers(4)); err != nil {
 		t.Fatal(err)
 	}

@@ -2,55 +2,49 @@ package sqldb
 
 import (
 	"runtime"
-	"sort"
 	"sync"
 	"sync/atomic"
 )
 
-// This file implements morsel-driven intra-query parallelism in the style
-// of Leis et al.'s HyPer scheduler: the row-id space of a base-table scan
-// is split into fixed-size morsels that a bounded pool of workers claims
-// through an atomic counter, so fast workers steal work from slow ones
-// without any static partitioning. Three operators parallelize:
+// This file holds the engine's intra-query parallelism. There is one
+// parallel scan pipeline, and it rides on the vectorized batches of
+// vecops.go: the 1024-slot batch is the morsel. A pool of workers claims
+// batch indexes from an atomic counter (Leis et al.'s morsel-driven
+// scheduling: fast workers steal work from slow ones without static
+// partitioning), loads the batch — decoding a sealed block or gathering
+// a heap block's visible rows — and runs the fused filter kernels on it.
+// Then either
 //
-//   - parScanOp: heap / index / index-range scans with the pushed-down
-//     filter fused into the workers, gathered in morsel order so the
-//     output is bit-identical to the serial scan (safe under LIMIT
-//     truncation and for the plan-equivalence property tests).
-//   - partial aggregation (runAggregationParallel): each worker folds its
-//     morsels into private GROUP BY states; the gather merges the partial
-//     states and restores serial first-seen group order by tracking the
-//     minimal scan ordinal at which each group appeared.
-//   - hash-join build (hashJoinOp.buildParallel): workers evaluate and
-//     encode build keys per morsel, then one worker per partition builds
-//     its shard's buckets in global build-row order.
+//   - the owner goroutine takes the filtered batches strictly in batch
+//     order (batchGather), so projections, sorts and join probes above
+//     the scan see exactly the serial stream; or
+//   - for aggregation, each worker runs the aggregate kernels into
+//     private partial states and the owner merges them, restoring serial
+//     first-seen group order from each group's minimal scan ordinal
+//     (runAggregationVec) — unless the first batch founds so many groups
+//     that duplicated per-worker groups would cost more than the pool
+//     saves, in which case the owner folds every batch.
 //
-// Eligibility is decided at plan time (parallelEligible, parallelSafeExpr):
-// only top-level, single-table, order-insensitive paths with expressions
-// free of subqueries and function calls (the registry cannot distinguish
-// builtins from user/LM UDFs, so all calls stay serial), and only above a
-// row-count threshold so small scans never pay pool overhead. Ordered
-// (sort-eliding) scans, merge joins, and correlated probes stay serial.
+// The only other parallel operator is the hash-join build
+// (hashJoinOp.buildParallel below): workers evaluate and encode build
+// keys per 1024-row chunk, then one worker per partition builds its
+// shard's buckets in global build-row order.
 //
-// Accounting: workers never touch the shared queryCtx. Each morsel result
-// carries its own counters, which the gather — always the query's owner
-// goroutine — folds into the per-query recorder, so the EXPLAIN ANALYZE
-// accounting property (per-operator sums == per-query totals) holds
-// unchanged under parallel execution.
-
-// morselSize is the number of row ids one worker claims at a time. Large
-// enough to amortise the claim + channel handoff, small enough to
-// load-balance skewed filters.
-const morselSize = 1024
+// Eligibility is decided at plan time: only top-level statements, only
+// scans whose filters compile to vector kernels (kernels never call
+// functions or run subqueries, so they are safe off the owner
+// goroutine), and only above batchMinRows rows so small scans never pay
+// pool overhead. Ordered (sort-eliding) scans, index access paths, merge
+// joins and correlated probes stay serial.
+//
+// Accounting: workers never touch the shared queryCtx. Each batch carries
+// its own counts, which the owner folds into the per-query recorder, so
+// the EXPLAIN ANALYZE accounting property (per-operator sums == per-query
+// totals) holds unchanged under parallel execution.
 
 // parallelMaxWorkers caps the default pool size; WithMaxWorkers can raise
 // it explicitly.
 const parallelMaxWorkers = 8
-
-// parallelMinRows is the minimum estimated input size before the planner
-// considers a parallel operator. Package variable so property tests can
-// lower it to push their small corpora through the parallel paths.
-var parallelMinRows = 4096
 
 // parallelWorkersActive counts live worker goroutines engine-wide. Test
 // instrumentation: the cancellation/leak tests assert it returns to zero
@@ -59,16 +53,9 @@ var parallelWorkersActive atomic.Int64
 
 // defaultMaxWorkers sizes a database's pool from the runtime: GOMAXPROCS
 // capped at parallelMaxWorkers. Under GOMAXPROCS=1 every plan stays
-// serial, which is what keeps single-core executions bit-identical.
+// serial.
 func defaultMaxWorkers() int {
-	n := runtime.GOMAXPROCS(0)
-	if n > parallelMaxWorkers {
-		n = parallelMaxWorkers
-	}
-	if n < 1 {
-		n = 1
-	}
-	return n
+	return max(1, min(runtime.GOMAXPROCS(0), parallelMaxWorkers))
 }
 
 // parallelSafeExpr reports whether an expression may be evaluated on a
@@ -93,657 +80,16 @@ func parallelSafeExpr(e Expr) bool {
 	return safe
 }
 
-// morselSource is the row-id space a parallel operator partitions: either
-// an explicit id list (equality/range index access) or the heap [0, n).
-// The slot array and snapshot are captured once on the owner goroutine;
-// workers evaluate visibility against them with no lock held, exactly as
-// the serial scanOp does.
-type morselSource struct {
-	table *Table
-	ids   []int // nil = full heap scan
-	arr   []*rowSlot
-	n     int
-	snap  *snapshot
-	segs  []*segment // sealed column segments (segment.go); nil = none
-}
-
-// newMorselSource captures the scan's iteration space: the id list when
-// one was materialised, otherwise the heap slot array, plus the
-// statement snapshot rows are judged against. Full heap scans also
-// capture the published segment list so fully sealed morsels decode
-// their block instead of chasing version pointers; morselSize equals
-// segBlockSlots, so a morsel is always entirely sealed or entirely heap.
-func newMorselSource(t *Table, ids []int, snap *snapshot) morselSource {
-	m := morselSource{table: t, ids: ids, snap: snap}
-	if ids == nil {
-		m.arr, m.n = t.loadSlots()
-		if !debugDisableTombstoneSkip {
-			m.segs = t.loadSegs()
-		}
-	}
-	return m
-}
-
-// sealedBlockRows decodes the sealed block covering morsel idx into
-// freshly materialised full-width rows (slot order, zero tombstones), or
-// reports false when the morsel is not a fully sealed block. Decode
-// errors cannot occur for blocks this process sealed; fail closed to the
-// heap walk anyway.
-func (m morselSource) sealedBlockRows(idx int) ([]Row, bool) {
-	if m.segs == nil {
-		return nil, false
-	}
-	lo := idx * morselSize
-	seg := findSeg(m.segs, lo)
-	if seg == nil {
-		return nil, false
-	}
-	blk := seg.block(lo)
-	width := len(m.table.Columns)
-	rows := make([]Row, blk.nrows)
-	if blk.nrows == 0 {
-		return rows, true
-	}
-	cols := make([][]Value, width)
-	for c := range cols {
-		buf := make([]Value, blk.nrows)
-		if err := blk.cols[c].decode(blk.nrows, buf); err != nil {
-			return nil, false
-		}
-		cols[c] = buf
-	}
-	vals := make([]Value, blk.nrows*width)
-	for j := range rows {
-		r := vals[j*width : (j+1)*width : (j+1)*width]
-		for c := 0; c < width; c++ {
-			r[c] = cols[c][j]
-		}
-		rows[j] = r
-	}
-	return rows, true
-}
-
-func (m morselSource) total() int {
-	if m.ids != nil {
-		return len(m.ids)
-	}
-	return m.n
-}
-
-func (m morselSource) morsels() int {
-	return (m.total() + morselSize - 1) / morselSize
-}
-
-// morselRow resolves one source position to its snapshot-visible row,
-// mirroring scanOp's per-row logic: nil row plus skip=true means a slot
-// holding only invisible versions (a tombstone the counters record);
-// nil plus skip=false means a slot with no versions at all (vacuumed or
-// rolled-back insert), stepped over silently.
-func (m morselSource) morselRow(pos int) (Row, bool) {
-	if m.ids != nil {
-		r := scanRow(m.table, m.ids[pos], m.snap)
-		return r, r == nil
-	}
-	head := m.arr[pos].head.Load()
-	if head == nil {
-		return nil, false
-	}
-	var r Row
-	switch {
-	case debugDisableTombstoneSkip:
-		r = head.row
-	case m.snap == nil:
-		r = latestRow(head)
-	default:
-		r = visibleVersion(head, m.snap)
-	}
-	return r, r == nil
-}
-
-// scanMorsel runs one morsel's scan+filter loop: positions [lo, hi) of
-// the source, predicate pred (nil = all rows), appending matches to out.
-// Returns the rows, the number scanned, tombstones stepped over, and
-// sealed blocks decoded. Heap-order iteration inside the morsel keeps the
-// gathered stream bit-identical to the serial scan; a fully sealed morsel
-// decodes its column block instead (same rows, same order, no
-// tombstones).
-func (m morselSource) scanMorsel(idx int, pred compiledExpr, env *evalEnv, out []Row) ([]Row, uint64, uint64, uint64, error) {
-	var scanned, tombSkipped uint64
-	if rows, ok := m.sealedBlockRows(idx); ok {
-		for _, r := range rows {
-			scanned++
-			if pred != nil {
-				env.row = r
-				v, err := pred()
-				if err != nil {
-					return out, scanned, 0, 1, err
-				}
-				if v.IsNull() || !v.AsBool() {
-					continue
-				}
-			}
-			out = append(out, r)
-		}
-		return out, scanned, 0, 1, nil
-	}
-	lo := idx * morselSize
-	hi := lo + morselSize
-	if t := m.total(); hi > t {
-		hi = t
-	}
-	for pos := lo; pos < hi; pos++ {
-		r, skip := m.morselRow(pos)
-		if r == nil {
-			if skip {
-				tombSkipped++
-			}
-			continue
-		}
-		scanned++
-		if pred != nil {
-			env.row = r
-			v, err := pred()
-			if err != nil {
-				return out, scanned, tombSkipped, 0, err
-			}
-			if v.IsNull() || !v.AsBool() {
-				continue
-			}
-		}
-		out = append(out, r)
-	}
-	return out, scanned, tombSkipped, 0, nil
-}
-
-// countAccessPath records the access path once, mirroring scanOp.
-func (m morselSource) countAccessPath(fromRange bool, qc *queryCtx) {
-	if qc == nil {
-		return
-	}
-	switch {
-	case fromRange:
-		qc.indexRangeScans++
-	case m.ids != nil:
-		qc.indexScans++
-	default:
-		qc.fullScans++
-	}
-}
-
-// ---------------------------------------------------------------------------
-// Parallel scan with ordered gather
-
-// parMorsel is one worker's result for one morsel.
-type parMorsel struct {
-	idx         int
-	rows        []Row
-	scanned     uint64
-	tombSkipped uint64
-	decoded     uint64 // sealed blocks decoded (0 or 1)
-	err         error
-}
-
-// parScanOp scans a base table with the pushed-down predicate fused into
-// a pool of workers. The gather emits morsel results strictly in morsel
-// order, so downstream operators see exactly the serial scan's stream —
-// parallelism changes wall-clock, never semantics. Workers are throttled
-// by a ticket semaphore to at most a few morsels ahead of the gather, so
-// an abandoned or LIMIT-stopped cursor buffers O(workers) morsels, not
-// the table. qc.stopWorkers (registered at start) stops and joins the
-// pool before the cursor's snapshot reference is released.
-type parScanOp struct {
-	table    *Table
-	qual     string
-	cols     []colInfo
-	ids      []int // nil = heap scan unless rangeIdx materialises below
-	rangeIdx *Index
-	spec     rangeSpec
-	pred     Expr // fused filter; nil = none
-	db       *Database
-	params   []Value
-	workers  int
-	qc       *queryCtx
-	// unordered: the consumer is provably order-insensitive (aggregation
-	// without ORDER BY, gated by aggOrderInsensitive), so the gather
-	// consumes morsels in completion order instead of stashing them back
-	// into morsel order — slow morsels never stall fast ones.
-	unordered bool
-
-	started bool
-	stopped bool
-	src     morselSource
-	claim   *atomic.Int64
-	abort   *atomic.Bool
-	stopCh  chan struct{}
-	tickets chan struct{}
-	results chan parMorsel
-	wg      sync.WaitGroup
-
-	nextIdx  int
-	nMorsels int
-	stash    map[int]parMorsel
-	cur      []Row
-	pos      int
-	curErr   error // error carried by the current morsel, surfaced after its rows
-	pendErr  error // sticky terminal error
-
-	// Workers that abort record their error here too: a worker that
-	// claimed a morsel and then saw the abort flag exits without
-	// delivering it, so the gather may never reach the erroring morsel
-	// through the ordered stream — it recovers the error from this slot
-	// when the results channel closes.
-	errMu       sync.Mutex
-	workerErr   error
-	workerErrID int
-
-	scanned     uint64 // merged per-operator counters (EXPLAIN ANALYZE)
-	tombSkipped uint64
-	decBlocks   uint64
-	segCounted  bool
-}
-
-func (s *parScanOp) columns() []colInfo { return s.cols }
-
-func (s *parScanOp) reset() {
-	s.stopPool()
-	s.started = false
-	s.stopped = false
-	s.nextIdx = 0
-	s.stash = nil
-	s.cur = nil
-	s.pos = 0
-	s.curErr = nil
-	s.pendErr = nil
-	if s.rangeIdx != nil {
-		s.ids = nil // re-materialise on next start
-	}
-}
-
-// start materialises range ids, records the access path, and spawns the
-// pool. Runs on the owner goroutine; workers inherit the statement's
-// snapshot through the morsel source and never take a lock.
-func (s *parScanOp) start() {
-	s.started = true
-	var snap *snapshot
-	if s.qc != nil {
-		snap = s.qc.snap
-	}
-	fromRange := s.rangeIdx != nil
-	if fromRange && s.ids == nil {
-		var skipped uint64
-		s.ids, skipped = collectRangeIDs(s.table, s.rangeIdx.Column,
-			s.rangeIdx.orderedEntries(), s.spec, snap)
-		s.tombSkipped += skipped
-		if s.qc != nil {
-			s.qc.tombstonesSkipped += skipped
-		}
-	}
-	s.src = newMorselSource(s.table, s.ids, snap)
-	s.src.countAccessPath(fromRange, s.qc)
-	s.nMorsels = s.src.morsels()
-	s.claim = &atomic.Int64{}
-	s.abort = &atomic.Bool{}
-	s.stopCh = make(chan struct{})
-	s.stash = make(map[int]parMorsel)
-	nw := s.workers
-	if nw > s.nMorsels {
-		nw = s.nMorsels
-	}
-	if nw < 1 {
-		nw = 1
-	}
-	// Tickets bound how far claims may run ahead of the gather. Claims
-	// are monotonic, so the outstanding morsels are always the smallest
-	// unconsumed indices and the gather's next morsel is among them — no
-	// deadlock.
-	maxAhead := nw * 4
-	s.tickets = make(chan struct{}, maxAhead)
-	for i := 0; i < maxAhead; i++ {
-		s.tickets <- struct{}{}
-	}
-	s.results = make(chan parMorsel, maxAhead)
-	if s.qc != nil {
-		s.qc.addFinalizer(s.stopPool)
-	}
-	// Per-worker environments and predicates are compiled here, on the
-	// owner goroutine, so workers never touch shared planner state.
-	for w := 0; w < nw; w++ {
-		env := newEvalEnv(s.cols, s.db, s.params, nil, nil)
-		var pred compiledExpr
-		if s.pred != nil {
-			p, err := compileExpr(s.pred, env)
-			if err != nil {
-				// The serial plan compiled this same expression already;
-				// failure here is unreachable, but fail closed.
-				s.pendErr = err
-				s.nMorsels = 0
-				break
-			}
-			pred = p
-		}
-		s.wg.Add(1)
-		parallelWorkersActive.Add(1)
-		go s.worker(env, pred)
-	}
-	go func() {
-		s.wg.Wait()
-		close(s.results)
-	}()
-}
-
-func (s *parScanOp) worker(env *evalEnv, pred compiledExpr) {
-	defer func() {
-		parallelWorkersActive.Add(-1)
-		s.wg.Done()
-	}()
-	for {
-		select {
-		case <-s.tickets:
-		case <-s.stopCh:
-			return
-		}
-		idx := int(s.claim.Add(1)) - 1
-		if idx >= s.nMorsels || s.abort.Load() {
-			return
-		}
-		if s.qc != nil {
-			// cancelled() reads only the immutable context — safe off
-			// the owner goroutine, unlike tickCancelled.
-			if s.qc.cancelled() != nil {
-				return
-			}
-		}
-		rows, scanned, tombSkipped, decoded, err := s.src.scanMorsel(idx, pred, env, nil)
-		res := parMorsel{idx: idx, rows: rows, scanned: scanned, tombSkipped: tombSkipped, decoded: decoded, err: err}
-		if err != nil {
-			s.errMu.Lock()
-			if s.workerErr == nil || idx < s.workerErrID {
-				s.workerErr, s.workerErrID = err, idx
-			}
-			s.errMu.Unlock()
-			s.abort.Store(true)
-		}
-		select {
-		case s.results <- res:
-		case <-s.stopCh:
-			return
-		}
-		if err != nil {
-			return
-		}
-	}
-}
-
-// fold merges one morsel's counters into the per-query and per-operator
-// totals. Owner goroutine only.
-func (s *parScanOp) fold(m parMorsel) {
-	s.scanned += m.scanned
-	s.tombSkipped += m.tombSkipped
-	s.decBlocks += m.decoded
-	if s.qc != nil {
-		s.qc.rowsScanned += m.scanned
-		s.qc.tombstonesSkipped += m.tombSkipped
-		s.qc.decodedBlocks += m.decoded
-		if m.decoded > 0 && !s.segCounted {
-			s.segCounted = true
-			s.qc.segmentScans++
-		}
-	}
-}
-
-func (s *parScanOp) next() (Row, bool, error) {
-	if s.pendErr != nil {
-		return nil, false, s.pendErr
-	}
-	if !s.started {
-		s.start()
-		if s.pendErr != nil {
-			return nil, false, s.pendErr
-		}
-	}
-	for {
-		if s.pos < len(s.cur) {
-			r := s.cur[s.pos]
-			s.pos++
-			return r, true, nil
-		}
-		if s.curErr != nil {
-			s.pendErr = s.curErr
-			return nil, false, s.pendErr
-		}
-		if s.nextIdx >= s.nMorsels {
-			return nil, false, nil
-		}
-		if s.qc != nil {
-			if err := s.qc.tickCancelled(); err != nil {
-				s.pendErr = err
-				return nil, false, err
-			}
-		}
-		m, ok := s.stash[s.nextIdx]
-		if ok {
-			delete(s.stash, s.nextIdx)
-		} else {
-			res, open := <-s.results
-			if !open {
-				// Workers exited without delivering the next morsel:
-				// cancellation, or an abort whose erroring morsel the
-				// ordered stream will never reach.
-				if s.qc != nil {
-					if err := s.qc.cancelled(); err != nil {
-						s.pendErr = err
-						return nil, false, err
-					}
-				}
-				s.errMu.Lock()
-				err := s.workerErr
-				s.errMu.Unlock()
-				if err != nil {
-					s.pendErr = err
-					return nil, false, err
-				}
-				return nil, false, nil
-			}
-			// The ordered gather stashes out-of-order morsels until their
-			// turn; the unordered gather consumes completion order directly
-			// (nextIdx then just counts consumed morsels).
-			if !s.unordered && res.idx != s.nextIdx {
-				s.stash[res.idx] = res
-				continue
-			}
-			m = res
-		}
-		s.fold(m)
-		s.tickets <- struct{}{}
-		s.nextIdx++
-		s.cur = m.rows
-		s.pos = 0
-		s.curErr = m.err // emitted rows first, then the error — as serial would
-	}
-}
-
-// stopPool aborts and joins the worker pool, folding the counters of any
-// undelivered-but-completed morsels so Stats reflects work actually done.
-// Idempotent; owner goroutine only. Registered as a qc finalizer so it
-// runs before the statement's read lock is released.
-func (s *parScanOp) stopPool() {
-	if !s.started || s.stopped {
-		return
-	}
-	s.stopped = true
-	s.abort.Store(true)
-	close(s.stopCh)
-	for res := range s.results { // drains until the closer closes it
-		s.fold(res)
-	}
-	for _, res := range s.stash {
-		s.fold(res)
-	}
-	s.stash = nil
-}
-
-// ---------------------------------------------------------------------------
-// Planner hooks
-
-// parallelScanTarget walks a filter stack down to its scanOp and collects
-// the predicates along the way. Returns nil when the chain does not
-// bottom out in a plain scan.
-func parallelScanTarget(src operator) (*scanOp, []Expr) {
-	var preds []Expr
-	cur := src
-	for {
-		if f, ok := cur.(*filterOp); ok {
-			preds = append(preds, f.pred)
-			cur = f.child
-			continue
-		}
-		break
-	}
-	sc, ok := cur.(*scanOp)
-	if !ok {
-		return nil, nil
-	}
-	return sc, preds
-}
-
-// parallelEligible applies the planner's gates shared by the parallel
-// scan and parallel aggregation: a pool to run on, a statement shape the
-// gather can preserve, worker-safe predicates, and enough rows to pay
-// for the pool.
-func parallelEligible(db *Database, qc *queryCtx, sc *scanOp, preds []Expr) bool {
-	if db == nil || db.maxWorkers <= 1 || qc == nil || sc == nil {
-		return false
-	}
-	for _, p := range preds {
-		if !parallelSafeExpr(p) {
-			return false
-		}
-	}
-	est := sc.table.liveCount()
-	if sc.ids != nil {
-		est = len(sc.ids)
-	}
-	// Range scans estimate by table size: bounds are not yet
-	// materialised, and a small range costs one morsel anyway.
-	return est >= parallelMinRows
-}
-
-// tryParallelScan replaces a filter-stack-over-scan chain with a fused
-// parScanOp when eligible. Non-aggregate statements only; the caller has
-// already ruled out joins, elided orders, and bare-LIMIT windows (where
-// scan-ahead would waste work the limit never reads).
-func tryParallelScan(src operator, db *Database, params []Value, qc *queryCtx) operator {
-	sc, preds := parallelScanTarget(src)
-	if !parallelEligible(db, qc, sc, preds) {
-		return src
-	}
-	return &parScanOp{
-		table: sc.table, qual: sc.qual, cols: sc.cols,
-		ids: sc.ids, rangeIdx: sc.rangeIdx, spec: sc.spec,
-		pred: joinConjuncts(preds), db: db, params: params,
-		workers: db.maxWorkers, qc: qc,
-	}
-}
-
-// tryParallelScanUnordered feeds an order-insensitive serial aggregation
-// from a parallel scan gathered in completion order. Only when the
-// statement provably cannot observe morsel arrival order: a single output
-// group (no GROUP BY — first-seen group order would leak scheduling), no
-// ORDER BY, aggregates whose folds are commutative for every value kind
-// (COUNT/MIN/MAX, DISTINCT included since the dedup set is order-free),
-// and no bare column refs outside aggregate arguments (those read the
-// group's representative row, which is arrival-order-dependent).
-func tryParallelScanUnordered(stmt *SelectStmt, items []SelectItem, src operator,
-	aggs []*FuncCall, db *Database, params []Value, qc *queryCtx) operator {
-	if !aggOrderInsensitive(stmt, items, aggs) {
-		return src
-	}
-	sc, preds := parallelScanTarget(src)
-	if !parallelEligible(db, qc, sc, preds) {
-		return src
-	}
-	return &parScanOp{
-		table: sc.table, qual: sc.qual, cols: sc.cols,
-		ids: sc.ids, rangeIdx: sc.rangeIdx, spec: sc.spec,
-		pred: joinConjuncts(preds), db: db, params: params,
-		workers: db.maxWorkers, qc: qc, unordered: true,
-	}
-}
-
-// aggOrderInsensitive reports whether an aggregate statement's result is
-// invariant under any permutation of its input rows — the licence for the
-// unordered gather above.
-func aggOrderInsensitive(stmt *SelectStmt, items []SelectItem, aggs []*FuncCall) bool {
-	if len(stmt.GroupBy) != 0 || len(stmt.OrderBy) != 0 {
-		return false
-	}
-	for _, fc := range aggs {
-		switch fc.Name {
-		case "COUNT", "MIN", "MAX":
-		default:
-			// SUM/AVG/TOTAL float folds and GROUP_CONCAT are defined in
-			// scan order; the ordered gather keeps them deterministic.
-			return false
-		}
-	}
-	for _, it := range items {
-		if bareRefsOutsideAggs(it.Expr) {
-			return false
-		}
-	}
-	return !bareRefsOutsideAggs(stmt.Having)
-}
-
-// bareRefsOutsideAggs reports whether e reads a column outside any
-// aggregate argument — such reads come from the single group's
-// representative row, which is whichever matching row arrived first.
-// Subqueries are treated as bare: walkExpr does not descend into their
-// statements, so correlated refs inside them would go unseen.
-func bareRefsOutsideAggs(e Expr) bool {
-	bare := false
-	walkExpr(e, func(x Expr) bool {
-		switch t := x.(type) {
-		case *FuncCall:
-			if isAggregateName(t.Name) {
-				return false // prune: refs inside aggregate args are fine
-			}
-		case *ColumnRef:
-			bare = true
-		case *Subquery, *ExistsExpr:
-			bare = true
-		case *InList:
-			if t.Sub != nil {
-				bare = true
-			}
-		}
-		return !bare
-	})
-	return bare
-}
-
-// ---------------------------------------------------------------------------
-// Parallel partial aggregation
-
-// parAggPlan is the fused scan+filter+partial-aggregate a groupOp runs
-// instead of draining its child serially. The child chain is retained on
-// the groupOp for EXPLAIN display; merged scan counters are written back
-// into its scanOp so the accounting property holds.
-type parAggPlan struct {
-	sc      *scanOp
-	pred    Expr
-	workers int
-}
-
 // mergeableAggregates reports whether every collected aggregate can be
 // computed as per-worker partials and merged without divergence from the
 // engine's defined fold order:
 //
 //   - COUNT, MIN, MAX: always order-insensitive.
 //   - SUM / AVG / TOTAL: integer partial sums merge exactly; float sums
-//     are kept per-morsel and folded in ascending morsel order (agg.go
-//     morselAdder), so the result is left-to-right within each morsel,
-//     then morsel by morsel — a deterministic function of the data and
-//     morselSize, independent of worker count and scheduling.
+//     are kept per batch and folded in ascending batch order (agg.go
+//     morselAdder), so the result is left-to-right within each batch,
+//     then batch by batch — a deterministic function of the data and the
+//     batch size, independent of worker count and scheduling.
 //   - GROUP_CONCAT: order-sensitive across workers — never parallel.
 //   - DISTINCT aggregates: the dedup set cannot be merged — serial.
 func mergeableAggregates(aggs []*FuncCall) bool {
@@ -760,347 +106,8 @@ func mergeableAggregates(aggs []*FuncCall) bool {
 		default:
 			return false
 		}
-		if !fc.Star {
-			for _, a := range fc.Args {
-				if !parallelSafeExpr(a) {
-					return false
-				}
-			}
-		}
 	}
 	return true
-}
-
-// tryParallelAgg decides whether an aggregate statement's input can run
-// as fused parallel partial aggregation, returning the plan or nil.
-func tryParallelAgg(stmt *SelectStmt, src operator, aggs []*FuncCall, db *Database, qc *queryCtx) *parAggPlan {
-	sc, preds := parallelScanTarget(src)
-	if !parallelEligible(db, qc, sc, preds) {
-		return nil
-	}
-	for _, ge := range stmt.GroupBy {
-		if !parallelSafeExpr(ge) {
-			return nil
-		}
-	}
-	if !mergeableAggregates(aggs) {
-		return nil
-	}
-	return &parAggPlan{sc: sc, pred: joinConjuncts(preds), workers: db.maxWorkers}
-}
-
-// parAggGroup is one worker's (and after merging, the gather's) partial
-// GROUP BY state, carrying the minimal scan ordinal at which the group
-// was first seen so merged groups can be restored to serial first-seen
-// order.
-type parAggGroup struct {
-	keys    []Value
-	states  []aggState
-	repRow  Row
-	firstID int
-}
-
-// runAggregationParallel is the fork-join parallel counterpart of
-// runAggregation: workers claim morsels, filter, and fold rows into
-// private group maps; the owner joins them, merges the partial states,
-// and returns groups in exactly the serial first-seen order. Workers are
-// spawned and joined inside this call — no pool outlives it.
-func runAggregationParallel(stmt *SelectStmt, par *parAggPlan, aggs []*FuncCall,
-	db *Database, params []Value, qc *queryCtx) ([]*aggGroup, error) {
-
-	sc := par.sc
-	var snap *snapshot
-	if qc != nil {
-		snap = qc.snap
-	}
-	fromRange := sc.rangeIdx != nil
-	ids := sc.ids
-	var rangeSkipped uint64
-	if fromRange && ids == nil {
-		ids, rangeSkipped = collectRangeIDs(sc.table, sc.rangeIdx.Column,
-			sc.rangeIdx.orderedEntries(), sc.spec, snap)
-	}
-	src := newMorselSource(sc.table, ids, snap)
-	src.countAccessPath(fromRange, qc)
-	if qc != nil {
-		qc.tombstonesSkipped += rangeSkipped
-	}
-	nMorsels := src.morsels()
-	nw := par.workers
-	if nw > nMorsels {
-		nw = nMorsels
-	}
-	if nw < 1 {
-		nw = 1
-	}
-
-	type workerResult struct {
-		groups      map[string]*parAggGroup
-		scanned     uint64
-		tombSkipped uint64
-		decoded     uint64
-		errID       int
-		err         error
-	}
-	results := make([]workerResult, nw)
-	var claim atomic.Int64
-	var abort atomic.Bool
-	var wg sync.WaitGroup
-
-	// Compile every worker's expressions on the owner goroutine.
-	type workerExprs struct {
-		env        *evalEnv
-		pred       compiledExpr
-		groupExprs []compiledExpr
-		argExprs   []compiledExpr
-	}
-	exprs := make([]workerExprs, nw)
-	for w := 0; w < nw; w++ {
-		env := newEvalEnv(sc.cols, db, params, nil, nil)
-		we := workerExprs{env: env}
-		if par.pred != nil {
-			p, err := compileExpr(par.pred, env)
-			if err != nil {
-				return nil, err
-			}
-			we.pred = p
-		}
-		we.groupExprs = make([]compiledExpr, len(stmt.GroupBy))
-		for i, ge := range stmt.GroupBy {
-			c, err := compileExpr(ge, env)
-			if err != nil {
-				return nil, err
-			}
-			we.groupExprs[i] = c
-		}
-		we.argExprs = make([]compiledExpr, len(aggs))
-		for i, fc := range aggs {
-			if fc.Star || len(fc.Args) == 0 {
-				continue
-			}
-			c, err := compileExpr(fc.Args[0], env)
-			if err != nil {
-				return nil, err
-			}
-			we.argExprs[i] = c
-		}
-		exprs[w] = we
-	}
-
-	total := src.total()
-	for w := 0; w < nw; w++ {
-		wg.Add(1)
-		parallelWorkersActive.Add(1)
-		go func(w int) {
-			defer func() {
-				parallelWorkersActive.Add(-1)
-				wg.Done()
-			}()
-			we := exprs[w]
-			res := &results[w]
-			res.groups = make(map[string]*parAggGroup)
-			res.errID = -1
-			keyVals := make([]Value, len(stmt.GroupBy))
-			var kb []byte
-			fail := func(ordinal int, err error) {
-				res.errID, res.err = ordinal, err
-				abort.Store(true)
-			}
-			// foldRow filters and folds one visible row into the worker's
-			// partial groups. pos is the row's scan ordinal (slot position
-			// for heap rows, lo+j for sealed rows — both monotone in slot
-			// order, so first-seen ordering merges identically). Returns
-			// false after fail().
-			foldRow := func(r Row, pos, idx int) bool {
-				res.scanned++
-				we.env.row = r
-				if we.pred != nil {
-					v, err := we.pred()
-					if err != nil {
-						fail(pos, err)
-						return false
-					}
-					if v.IsNull() || !v.AsBool() {
-						return true
-					}
-				}
-				kb = kb[:0]
-				for i, ge := range we.groupExprs {
-					v, err := ge()
-					if err != nil {
-						fail(pos, err)
-						return false
-					}
-					keyVals[i] = v
-					kb = appendValueKey(kb, v)
-				}
-				g, ok := res.groups[string(kb)]
-				if !ok {
-					states := make([]aggState, len(aggs))
-					for i, fc := range aggs {
-						st, err := newAggState(fc)
-						if err != nil {
-							fail(pos, err)
-							return false
-						}
-						states[i] = st
-					}
-					g = &parAggGroup{
-						keys:    append([]Value{}, keyVals...),
-						states:  states,
-						repRow:  r.Clone(),
-						firstID: pos,
-					}
-					res.groups[string(kb)] = g
-				}
-				for i, fc := range aggs {
-					if fc.Star {
-						g.states[i].add(Int(1))
-						continue
-					}
-					if we.argExprs[i] == nil {
-						continue
-					}
-					v, err := we.argExprs[i]()
-					if err != nil {
-						fail(pos, err)
-						return false
-					}
-					// Order-sensitive float states take the morsel
-					// ordinal so partial sums fold in morsel order.
-					if ma, ok := g.states[i].(morselAdder); ok {
-						ma.addMorsel(v, idx)
-					} else {
-						g.states[i].add(v)
-					}
-				}
-				return true
-			}
-			for {
-				idx := int(claim.Add(1)) - 1
-				if idx >= nMorsels || abort.Load() {
-					return
-				}
-				if qc != nil && qc.cancelled() != nil {
-					return
-				}
-				lo := idx * morselSize
-				if rows, ok := src.sealedBlockRows(idx); ok {
-					res.decoded++
-					for j, r := range rows {
-						if !foldRow(r, lo+j, idx) {
-							return
-						}
-					}
-					continue
-				}
-				hi := lo + morselSize
-				if hi > total {
-					hi = total
-				}
-				for pos := lo; pos < hi; pos++ {
-					r, skip := src.morselRow(pos)
-					if r == nil {
-						if skip {
-							res.tombSkipped++
-						}
-						continue
-					}
-					if !foldRow(r, pos, idx) {
-						return
-					}
-				}
-			}
-		}(w)
-	}
-	wg.Wait()
-
-	// Owner-side merge: counters first, then errors/cancellation, then
-	// the partial states keyed by group, keeping per group the identity
-	// (keys, repRow) of its smallest scan ordinal — the row the serial
-	// fold would have seen first.
-	var scanned, tombSkipped, decoded uint64
-	for w := range results {
-		scanned += results[w].scanned
-		tombSkipped += results[w].tombSkipped
-		decoded += results[w].decoded
-	}
-	if qc != nil {
-		qc.rowsScanned += scanned
-		qc.tombstonesSkipped += tombSkipped
-		qc.decodedBlocks += decoded
-		if decoded > 0 {
-			qc.segmentScans++
-		}
-	}
-	// Merged counters land on the (never-pulled) scanOp retained for
-	// EXPLAIN, so treeScanned and the scanned= annotation stay truthful.
-	sc.scanned += scanned
-	sc.tombSkipped += tombSkipped + rangeSkipped
-	if qc != nil {
-		if err := qc.cancelled(); err != nil {
-			return nil, err
-		}
-	}
-	var firstErr error
-	firstErrID := -1
-	for w := range results {
-		if results[w].err != nil && (firstErrID < 0 || results[w].errID < firstErrID) {
-			firstErr, firstErrID = results[w].err, results[w].errID
-		}
-	}
-	if firstErr != nil {
-		return nil, firstErr
-	}
-
-	merged := make(map[string]*parAggGroup)
-	for w := range results {
-		for key, g := range results[w].groups {
-			m, ok := merged[key]
-			if !ok {
-				merged[key] = g
-				continue
-			}
-			if g.firstID < m.firstID {
-				m.keys, m.repRow, m.firstID = g.keys, g.repRow, g.firstID
-			}
-			for i := range m.states {
-				m.states[i].(mergeableAggState).merge(g.states[i])
-			}
-		}
-	}
-	ordered := make([]*parAggGroup, 0, len(merged))
-	for _, g := range merged {
-		ordered = append(ordered, g)
-	}
-	sortParAggGroups(ordered)
-	groups := make([]*aggGroup, len(ordered))
-	for i, g := range ordered {
-		groups[i] = &aggGroup{keys: g.keys, states: g.states, repRow: g.repRow}
-	}
-	if len(stmt.GroupBy) == 0 && len(groups) == 0 {
-		states := make([]aggState, len(aggs))
-		for i, fc := range aggs {
-			st, err := newAggState(fc)
-			if err != nil {
-				return nil, err
-			}
-			states[i] = st
-		}
-		repRow := make(Row, len(sc.cols))
-		for i := range repRow {
-			repRow[i] = Null
-		}
-		groups = append(groups, &aggGroup{states: states, repRow: repRow})
-	}
-	return groups, nil
-}
-
-// sortParAggGroups restores merged groups to serial first-seen order by
-// their minimal scan ordinals (which are unique — one row founds one
-// group).
-func sortParAggGroups(gs []*parAggGroup) {
-	sort.Slice(gs, func(a, b int) bool { return gs[a].firstID < gs[b].firstID })
 }
 
 // keyPartition assigns an encoded join key to one of n build partitions
@@ -1121,9 +128,9 @@ func keyPartition(b []byte, n int) int {
 const nullPart = 255
 
 // buildParallel hashes the build side with a two-phase partitioned build.
-// Phase 1: workers claim morsels of the build rows and evaluate + encode
+// Phase 1: workers claim 1024-row chunks of the build rows and evaluate + encode
 // each row's key into per-row slots of shared arrays — disjoint indices,
-// so no synchronisation beyond the morsel claim. Phase 2: one worker per
+// so no synchronisation beyond the chunk claim. Phase 2: one worker per
 // partition walks the arrays in global row order inserting its
 // partition's rows, so within every bucket the row order — and therefore
 // every probe result — is identical to the serial build. Fork-join: all
@@ -1132,10 +139,10 @@ func (h *hashJoinOp) buildParallel(buildRows []Row, buildKeyE Expr,
 	db *Database, params []Value, outer *evalEnv) error {
 
 	n := len(buildRows)
-	nMorsels := (n + morselSize - 1) / morselSize
+	nChunks := (n + vecBatchRows - 1) / vecBatchRows
 	nw := db.maxWorkers
-	if nw > nMorsels {
-		nw = nMorsels
+	if nw > nChunks {
+		nw = nChunks
 	}
 	if nw < 2 {
 		nw = 2
@@ -1184,10 +191,10 @@ func (h *hashJoinOp) buildParallel(buildRows []Row, buildKeyE Expr,
 			var buf []byte
 			for {
 				m := int(claim.Add(1)) - 1
-				if m >= nMorsels || abort.Load() {
+				if m >= nChunks || abort.Load() {
 					return
 				}
-				lo, hi := m*morselSize, (m+1)*morselSize
+				lo, hi := m*vecBatchRows, (m+1)*vecBatchRows
 				if hi > n {
 					hi = n
 				}
@@ -1266,25 +273,4 @@ func (h *hashJoinOp) buildParallel(buildRows []Row, buildKeyE Expr,
 		return 0
 	}
 	return nil
-}
-
-// equalFold is a tiny ASCII-insensitive comparison used on identifier
-// paths hot enough to avoid strings.EqualFold's full case folding.
-func equalFold(a, b string) bool {
-	if len(a) != len(b) {
-		return false
-	}
-	for i := 0; i < len(a); i++ {
-		ca, cb := a[i], b[i]
-		if 'A' <= ca && ca <= 'Z' {
-			ca += 'a' - 'A'
-		}
-		if 'A' <= cb && cb <= 'Z' {
-			cb += 'a' - 'A'
-		}
-		if ca != cb {
-			return false
-		}
-	}
-	return true
 }

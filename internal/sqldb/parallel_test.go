@@ -7,21 +7,22 @@ import (
 	"strings"
 	"sync"
 	"testing"
+	"time"
 )
 
-// Tests for morsel-driven parallel execution (parallel.go): the serial vs
+// Tests for parallel execution (parallel.go, vecops.go): the serial vs
 // parallel plan-equivalence property, cancellation and cursor-abandonment
 // worker hygiene, EXPLAIN ANALYZE worker annotations and the accounting
-// property under parallelism, plus the satellite fast paths that rode
-// along (range-shaped DML WHERE, index-served multi-key ORDER BY).
+// property under parallelism, plus the fast paths that rode along
+// (range-shaped DML WHERE, index-served multi-key ORDER BY).
 
-// lowerParallelMinRows drops the parallel threshold so small test corpora
-// take the parallel paths, restoring it afterwards.
-func lowerParallelMinRows(t testing.TB, n int) {
+// lowerBatchMinRows drops the batch/pool threshold so small test corpora
+// take the batch pipeline and its worker pool, restoring it afterwards.
+func lowerBatchMinRows(t testing.TB, n int) {
 	t.Helper()
-	old := parallelMinRows
-	parallelMinRows = n
-	t.Cleanup(func() { parallelMinRows = old })
+	old := batchMinRows
+	batchMinRows = n
+	t.Cleanup(func() { batchMinRows = old })
 }
 
 // assertNoWorkerLeak asserts every spawned worker goroutine has exited.
@@ -79,7 +80,7 @@ func equivPred(r *rand.Rand) string {
 // identical results — same rows, same order — across scans, parallel
 // aggregation, elided orders, and LIMIT truncation.
 func TestSerialParallelEquivalence(t *testing.T) {
-	lowerParallelMinRows(t, 8)
+	lowerBatchMinRows(t, 8)
 	par, ser, plain := equivDBs()
 	all := []*Database{par, ser, plain}
 	r := rand.New(rand.NewSource(2025))
@@ -96,7 +97,9 @@ func TestSerialParallelEquivalence(t *testing.T) {
 		}
 		nextID++
 	}
-	for i := 0; i < 300; i++ {
+	// Two batches' worth of rows, so the pool genuinely splits the scans
+	// and aggregations (a one-batch table runs on one worker).
+	for i := 0; i < 1300; i++ {
 		insert()
 	}
 
@@ -106,7 +109,7 @@ func TestSerialParallelEquivalence(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !strings.Contains(strings.Join(plan, "\n"), "parallel seq scan") {
+	if !strings.Contains(strings.Join(plan, "\n"), "vectorized seq scan m (as m) workers=4") {
 		t.Fatalf("pooled db did not plan a parallel scan:\n%s", strings.Join(plan, "\n"))
 	}
 
@@ -181,6 +184,134 @@ func bigParallelDB(t testing.TB, n int) *Database {
 	return db
 }
 
+// sealTable seals every cold block of a freshly bulk-loaded table. The
+// load may have woken the background sealer, so its pass is waited out
+// on both sides of the explicit one: afterwards no sealing is in flight.
+func sealTable(t *testing.T, db *Database, table string) {
+	t.Helper()
+	for db.sealing.Load() {
+		time.Sleep(time.Millisecond)
+	}
+	db.Seal()
+	for db.sealing.Load() {
+		time.Sleep(time.Millisecond)
+	}
+	if db.tableMap()[table].sealedRows.Load() == 0 {
+		t.Fatalf("table %s has no sealed blocks", table)
+	}
+}
+
+// TestBatchMorselPlansAtFourWorkers pins the one scan pipeline at a
+// pooled default-sized configuration: over a sealed 20k-row table, the
+// filter-count, aggregate, GROUP BY and top-k shapes all plan the
+// vectorized scan with workers=4 (the aggregates fold per-worker
+// partials, the top-k projection reads the gathered batches), run the
+// kernels (VectorBatches grows), and return what the serial database
+// returns.
+func TestBatchMorselPlansAtFourWorkers(t *testing.T) {
+	par := NewDatabase(WithMaxWorkers(4))
+	ser := NewDatabase(WithMaxWorkers(1))
+	r := rand.New(rand.NewSource(19))
+	rows := make([][]any, 20000)
+	for i := range rows {
+		// Quarter prices: every float summation order is exact, so the
+		// pooled and serial SUMs must agree bit for bit.
+		rows[i] = []any{i, fmt.Sprintf("p%02d", r.Intn(40)), 1 + r.Intn(20), float64(r.Intn(400)) / 4}
+	}
+	for _, db := range []*Database{par, ser} {
+		db.MustExec("CREATE TABLE s (id INTEGER PRIMARY KEY, product TEXT, qty INTEGER, price REAL)")
+		if err := db.InsertRows("s", rows); err != nil {
+			t.Fatal(err)
+		}
+		sealTable(t, db, "s")
+	}
+	shapes := []struct {
+		sql    string
+		params []any
+		node   string // the consumer's plan line
+	}{
+		{"SELECT COUNT(*) FROM s WHERE qty > ? AND price < ?", []any{5, 50.0}, "aggregate (single group) (vectorized workers=4)"},
+		{"SELECT COUNT(*), SUM(qty), MIN(price), MAX(price), SUM(price) FROM s WHERE qty < ?", []any{9}, "aggregate (single group) (vectorized workers=4)"},
+		{"SELECT product, COUNT(*), SUM(qty) FROM s WHERE price > ? GROUP BY product", []any{30.0}, "hash aggregate by product (vectorized workers=4)"},
+		{"SELECT id, price FROM s WHERE qty >= ? ORDER BY price DESC, id LIMIT 10", []any{7}, "project 2 column(s) (vectorized)"},
+	}
+	for _, sh := range shapes {
+		lines, err := par.Explain(sh.sql, sh.params...)
+		if err != nil {
+			t.Fatal(err)
+		}
+		plan := strings.Join(lines, "\n")
+		if !strings.Contains(plan, "vectorized seq scan s (as s) workers=4") || !strings.Contains(plan, sh.node) {
+			t.Fatalf("%q did not plan the batch-morsel pipeline at workers=4:\n%s", sh.sql, plan)
+		}
+		before := par.Stats().VectorBatches
+		got := queryStrings(t, par, sh.sql, sh.params...)
+		if par.Stats().VectorBatches <= before {
+			t.Fatalf("%q: VectorBatches did not grow", sh.sql)
+		}
+		if want := queryStrings(t, ser, sh.sql, sh.params...); fmt.Sprint(got) != fmt.Sprint(want) {
+			t.Fatalf("%q: pooled %v != serial %v", sh.sql, got, want)
+		}
+		// Worker counts fold into the per-query recorder: a full drain
+		// on the pool bills exactly what the serial pipeline bills, and
+		// per-operator scans still sum to the per-query total.
+		pa, err := par.ExplainAnalyze(context.Background(), sh.sql, sh.params...)
+		if err != nil {
+			t.Fatal(err)
+		}
+		sa, err := ser.ExplainAnalyze(context.Background(), sh.sql, sh.params...)
+		if err != nil {
+			t.Fatal(err)
+		}
+		pst, sst := pa.Stats, sa.Stats
+		if pst.RowsScanned != sst.RowsScanned || pst.VectorBatches != sst.VectorBatches ||
+			pst.DecodedBlocks != sst.DecodedBlocks || pst.SegmentScans != sst.SegmentScans ||
+			pst.FullScans != sst.FullScans || pst.RowsEmitted != sst.RowsEmitted {
+			t.Fatalf("%q: pooled counters %+v != serial %+v", sh.sql, pst, sst)
+		}
+		if pst.VectorBatches == 0 || pst.DecodedBlocks == 0 || pst.SegmentScans != 1 {
+			t.Fatalf("%q: pooled counters missing batch work: %+v", sh.sql, pst)
+		}
+		if got := pa.scannedTotal(); got != pst.RowsScanned {
+			t.Fatalf("%q: per-operator scanned %d != RowsScanned %d", sh.sql, got, pst.RowsScanned)
+		}
+	}
+	assertNoWorkerLeak(t)
+}
+
+// TestBatchDecodeErrorSurfaces: a sealed block that fails to decode
+// surfaces as a typed ErrInternal — through the serial scan, the pooled
+// ordered gather, and the pooled and owner-side aggregation folds — and
+// no worker outlives the query.
+func TestBatchDecodeErrorSurfaces(t *testing.T) {
+	for _, workers := range []int{1, 4} {
+		db := NewDatabase(WithMaxWorkers(workers))
+		db.MustExec("CREATE TABLE s (id INTEGER, a INTEGER, f FLOAT)")
+		rows := make([][]any, 8*segBlockSlots)
+		for i := range rows {
+			rows[i] = []any{i, i % 50, float64(i) / 4}
+		}
+		if err := db.InsertRows("s", rows); err != nil {
+			t.Fatal(err)
+		}
+		sealTable(t, db, "s")
+		lo := 5 * segBlockSlots
+		blk := findSeg(db.tableMap()["s"].loadSegs(), lo).block(lo)
+		blk.cols[1].data = blk.cols[1].data[:1] // column a of block 5: truncated
+		for _, q := range []string{
+			"SELECT id, a FROM s WHERE a >= 0",
+			"SELECT id FROM s WHERE a >= 0 ORDER BY f DESC LIMIT 5",
+			"SELECT COUNT(*), SUM(a) FROM s WHERE a >= 0",
+			"SELECT id % 1000, SUM(a) FROM s GROUP BY id % 1000", // many groups: owner fold
+		} {
+			if _, err := db.Query(q); CodeOf(err) != ErrInternal {
+				t.Fatalf("workers=%d %q: err = %v, want ErrInternal", workers, q, err)
+			}
+		}
+		assertNoWorkerLeak(t)
+	}
+}
+
 // TestParallelScanCancellation: cancelling the context mid-iteration of a
 // parallel scan surfaces ErrCanceled and stops every worker; after Close
 // no goroutine lingers and the read lock is released.
@@ -247,7 +378,7 @@ func TestParallelExplainAnalyzeWorkersAndAccounting(t *testing.T) {
 		t.Fatal(err)
 	}
 	plan := strings.Join(a.Plan, "\n")
-	if !strings.Contains(plan, "parallel seq scan") || !strings.Contains(plan, "workers=4") {
+	if !strings.Contains(plan, "vectorized seq scan big (as big) workers=4") {
 		t.Fatalf("analyzed plan missing parallel scan annotation:\n%s", plan)
 	}
 	if !strings.Contains(plan, "scanned=") {
@@ -265,7 +396,7 @@ func TestParallelExplainAnalyzeWorkersAndAccounting(t *testing.T) {
 		t.Fatal(err)
 	}
 	plan = strings.Join(a.Plan, "\n")
-	if !strings.Contains(plan, "parallel workers=4") {
+	if !strings.Contains(plan, "(vectorized workers=4)") {
 		t.Fatalf("analyzed aggregate plan missing parallel annotation:\n%s", plan)
 	}
 	if got, want := a.scannedTotal(), a.Stats.RowsScanned; got != want {
@@ -279,7 +410,7 @@ func TestParallelExplainAnalyzeWorkersAndAccounting(t *testing.T) {
 // mergeable aggregate — identical values AND identical first-seen group
 // order.
 func TestParallelAggEquivalence(t *testing.T) {
-	lowerParallelMinRows(t, 8)
+	lowerBatchMinRows(t, 8)
 	par := NewDatabase(WithMaxWorkers(4))
 	ser := NewDatabase(WithMaxWorkers(1))
 	r := rand.New(rand.NewSource(11))
@@ -305,6 +436,9 @@ func TestParallelAggEquivalence(t *testing.T) {
 		"SELECT COUNT(*) FROM g WHERE v > 2000", // empty single group
 		"SELECT k, COUNT(*) FROM g WHERE v > 500 GROUP BY k HAVING COUNT(*) > 3",
 		"SELECT k, SUM(v) FROM g GROUP BY k ORDER BY SUM(v) DESC LIMIT 5",
+		// More groups than partialGroupsMax: the workers stop early and
+		// the owner folds the remaining batches into the merged table.
+		"SELECT id % 2500, COUNT(*), SUM(v), MIN(w), MAX(v) FROM g GROUP BY id % 2500",
 	} {
 		want := queryStrings(t, ser, q)
 		got := queryStrings(t, par, q)
@@ -332,7 +466,7 @@ func TestParallelAggEquivalence(t *testing.T) {
 // serial build, NULL build keys dropped, and the plan annotated with the
 // build worker count.
 func TestParallelJoinBuildEquivalence(t *testing.T) {
-	lowerParallelMinRows(t, 64)
+	lowerBatchMinRows(t, 64)
 	par := NewDatabase(WithMaxWorkers(4))
 	ser := NewDatabase(WithMaxWorkers(1))
 	r := rand.New(rand.NewSource(13))
@@ -589,7 +723,7 @@ func TestConcurrentParallelQueries(t *testing.T) {
 // exactly-representable values (quarters), every association is exact,
 // so serial and parallel results must additionally be bit-identical.
 func TestParallelFloatAggEquivalence(t *testing.T) {
-	lowerParallelMinRows(t, 8)
+	lowerBatchMinRows(t, 8)
 	par := NewDatabase(WithMaxWorkers(4))
 	ser := NewDatabase(WithMaxWorkers(1))
 	r := rand.New(rand.NewSource(17))
@@ -614,7 +748,7 @@ func TestParallelFloatAggEquivalence(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !strings.Contains(strings.Join(plan, "\n"), "parallel") {
+	if !strings.Contains(strings.Join(plan, "\n"), "(vectorized workers=4)") {
 		t.Fatalf("float SUM did not plan parallel aggregation:\n%s", strings.Join(plan, "\n"))
 	}
 	queries := []string{
@@ -622,6 +756,9 @@ func TestParallelFloatAggEquivalence(t *testing.T) {
 		"SELECT g, SUM(v), AVG(v) FROM f GROUP BY g",
 		"SELECT g % 7, SUM(v), COUNT(v) FROM f WHERE v > 0 GROUP BY g % 7",
 		"SELECT SUM(v) FROM f WHERE id % 3 = 1",
+		// Past partialGroupsMax the owner takes over at a batch boundary
+		// that depends on scheduling; the sums must not.
+		"SELECT id % 2000, SUM(v), AVG(v) FROM f GROUP BY id % 2000",
 	}
 	for _, q := range queries {
 		want := queryStrings(t, ser, q)

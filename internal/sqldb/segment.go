@@ -17,9 +17,9 @@ import (
 // and future snapshot — into column-major blocks of segBlockSlots slots,
 // compressed per column (zigzag-delta varints for ints, byte-aligned XOR
 // for floats, dictionary coding for strings, bitmaps for bools, and a raw
-// fallback for mixed-kind columns). Vectorized scans (vecops.go) and
-// parallel morsels (parallel.go) decode a block at a time instead of
-// chasing version pointers; everything else keeps reading the heap.
+// fallback for mixed-kind columns). Batch scans (vecops.go), serial or on
+// the worker pool, decode a block at a time instead of chasing version
+// pointers; everything else keeps reading the heap.
 //
 // Because segments are redundant with the heap, correctness never depends
 // on them: DML that touches a covered slot simply drops the covering
@@ -31,9 +31,9 @@ import (
 // dropped.
 
 // segBlockSlots is the number of heap slots one sealed block spans. It
-// equals morselSize so a parallel morsel is always either fully sealed or
-// fully heap-resident.
-const segBlockSlots = morselSize
+// equals the batch size (vecBatchRows), so a scan batch — and therefore a
+// parallel morsel — is always either one sealed block or heap-resident.
+const segBlockSlots = 1024
 
 // segMaxBlocks bounds the blocks per segment so unsealing on DML drops a
 // bounded range.

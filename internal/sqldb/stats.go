@@ -273,8 +273,8 @@ type queryCtx struct {
 	// ExplainAnalyze so ordinary executions skip all per-operator work.
 	rec *execRecorder
 
-	// finalizers stop any worker pools a streaming parallel operator
-	// spawned for this execution (parallel.go). They must run — on the
+	// finalizers stop any worker pools a streaming batch scan spawned
+	// for this execution (vecops.go batchGather). They must run — on the
 	// owner goroutine — before the statement's read lock is released,
 	// because workers read table data under that lock.
 	finalizers []func()

@@ -100,8 +100,7 @@ type groupOp struct {
 	params    []Value
 	outer     *evalEnv
 	qc        *queryCtx
-	par       *parAggPlan // non-nil: fused parallel partial aggregation
-	vec       *vecAggPlan // non-nil: vectorized scan+filter+aggregate drain
+	vec       *vecAggPlan // non-nil: batch scan+filter+aggregate fold
 
 	built   bool
 	groups  []*aggGroup
@@ -122,12 +121,9 @@ func (g *groupOp) next() (Row, bool, error) {
 	if !g.built {
 		var groups []*aggGroup
 		var err error
-		switch {
-		case g.par != nil:
-			groups, err = runAggregationParallel(g.stmt, g.par, g.aggs, g.db, g.params, g.qc)
-		case g.vec != nil:
-			groups, err = runAggregationVec(g.stmt, g.vec, g.child, g.aggs)
-		default:
+		if g.vec != nil {
+			groups, err = runAggregationVec(g.stmt, g.vec, g.aggs, g.qc)
+		} else {
 			groups, err = runAggregation(g.stmt, g.child, g.aggs, g.db, g.params, g.outer, g.qc)
 		}
 		if err != nil {
@@ -224,6 +220,10 @@ type sortOp struct {
 	width   int
 	orderBy []OrderItem
 	topK    int // -1 = keep everything
+	// copyKept: the child hands out transient rows (markTransient), so the
+	// top-k heap copies the rows it keeps — a handful — instead of the
+	// child allocating one per input row.
+	copyKept bool
 	// presorted is the count of leading sort keys the input order already
 	// satisfies (an elided index order). When positive the operator is no
 	// longer a full pipeline breaker: it streams runs of rows equal on
@@ -429,15 +429,19 @@ func (s *sortOp) drainTopK() ([]Row, error) {
 		if s.topK == 0 {
 			continue
 		}
+		if len(h) == s.topK && !after(h[0], e) {
+			continue
+		}
+		if s.copyKept {
+			e.row = append(Row(nil), r...)
+		}
 		if len(h) < s.topK {
 			h = append(h, e)
 			siftUp(len(h) - 1)
 			continue
 		}
-		if after(h[0], e) {
-			h[0] = e
-			siftDown(0)
-		}
+		h[0] = e
+		siftDown(0)
 	}
 	sort.Slice(h, func(a, b int) bool { return after(h[b], h[a]) })
 	rows := make([]Row, len(h))
@@ -544,24 +548,18 @@ func buildSelectPlan(stmt *SelectStmt, db *Database, params []Value, outer *eval
 		src, orderElided = tryOrderedScan(stmt, items, src, qc)
 	}
 
-	// Morsel-parallel scan (parallel.go): top-level, single-table,
-	// order-preserving-by-gather paths only. Elided index orders stay
-	// serial (their streaming is the point), and a bare LIMIT window
-	// without ORDER BY stays serial so the scan-ahead workers never read
-	// rows the window will not emit.
-	if topLevel && outer == nil && !aggregate && !orderElided && len(stmt.Joins) == 0 &&
-		!((stmt.Limit != nil || stmt.Offset != nil) && len(stmt.OrderBy) == 0) {
-		src = tryParallelScan(src, db, params, qc)
-	}
-
-	// Vectorized batch execution (vecops.go): claims unrestricted
-	// seq-scan chains the parallel scan did not take (a parScanOp no
-	// longer bottoms out in a scanOp, so the hook passes it through).
-	// The compiler is kept so projection items can be vectorized below.
+	// Batch execution (vecops.go): an unrestricted filter-over-seq-scan
+	// chain over a large or sealed table runs as 1024-row batches with its
+	// filter fused into kernels, loaded by the worker pool when the
+	// statement allows it. Elided index orders keep the ordered row scan
+	// (their streaming is the point); join inputs are batched in
+	// buildFrom. The compiler is kept so projection items or aggregates
+	// can be vectorized below.
 	var vcomp *vecCompiler
-	if !aggregate && !orderElided {
-		src, vcomp = tryVectorize(src, db, params, qc)
+	if !orderElided && len(stmt.Joins) == 0 {
+		src, vcomp = tryVectorize(src, db, params, qc, poolScan(stmt, topLevel, outer, aggregate))
 	}
+	markTransient(src)
 
 	// LIMIT / OFFSET are constant expressions; fold them at plan time.
 	start, limit := 0, -1
@@ -647,32 +645,22 @@ func buildSelectPlan(stmt *SelectStmt, db *Database, params []Value, outer *eval
 		if err := compileOrder(); err != nil {
 			return nil, nil, err
 		}
-		// Fused parallel partial aggregation, when the input is a large
-		// single-table scan and every aggregate merges exactly.
-		var par *parAggPlan
-		if topLevel && outer == nil && len(stmt.Joins) == 0 {
-			par = tryParallelAgg(stmt, src, aggs, db, qc)
-			if par == nil {
-				// Partial states did not merge (e.g. DISTINCT aggregates),
-				// but when the consumer is provably order-insensitive the
-				// scan itself can still parallelize, gathered in morsel
-				// completion order.
-				src = tryParallelScanUnordered(stmt, items, src, aggs, db, params, qc)
-			}
-		}
 		var vagg *vecAggPlan
-		if par == nil {
-			var avc *vecCompiler
-			src, avc = tryVectorize(src, db, params, qc)
-			if avc != nil {
-				vagg = tryVectorizeAgg(src.(*vecScanOp), avc, stmt, aggs, qc)
+		if vcomp != nil {
+			post := []Expr{stmt.Having}
+			for _, it := range items {
+				post = append(post, it.Expr)
 			}
+			for _, ob := range stmt.OrderBy {
+				post = append(post, ob.Expr)
+			}
+			vagg = tryVectorizeAgg(src.(*vecScanOp), vcomp, stmt, aggs, readsRepRow(actx, post...), qc)
 		}
 		root = &groupOp{
 			stmt: stmt, child: src, aggs: aggs, actx: actx, env: env,
 			citems: citems, having: having, orderKeys: orderKeys, oenv: oenv,
 			outCols: outCols, db: db, params: params, outer: outer, qc: qc,
-			par: par, vec: vagg,
+			vec: vagg,
 		}
 	} else {
 		citems := make([]compiledExpr, len(items))
@@ -684,14 +672,15 @@ func buildSelectPlan(stmt *SelectStmt, db *Database, params []Value, outer *eval
 		if err := compileOrder(); err != nil {
 			return nil, nil, err
 		}
-		// Fully vectorized projection: only without ORDER BY keys (key
-		// evaluation reads the projected output row) and when every item
+		// Fully vectorized projection, when every item and ORDER BY key
 		// compiles to a kernel.
 		var vproj *vecProjPlan
-		if vcomp != nil && orderKeys == nil {
-			if vsc, ok := src.(*vecScanOp); ok {
-				vproj = tryVectorizeProj(vsc, vcomp, items, qc)
+		if vcomp != nil {
+			var keys []OrderItem
+			if needSort {
+				keys = stmt.OrderBy
 			}
+			vproj = tryVectorizeProj(src.(*vecScanOp), vcomp, items, keys, outCols, qc)
 		}
 		root = &projectOp{
 			child: src, outCols: outCols, items: items, env: env,
@@ -714,7 +703,18 @@ func buildSelectPlan(stmt *SelectStmt, db *Database, params []Value, outer *eval
 			// above stops pulling once the window fills.
 			topK = start + limit
 		}
-		root = &sortOp{child: root, width: len(outCols), orderBy: stmt.OrderBy, topK: topK, presorted: presorted}
+		sop := &sortOp{child: root, width: len(outCols), orderBy: stmt.OrderBy, topK: topK, presorted: presorted}
+		if topK >= 0 {
+			// The bounded sort keeps only a handful of its input rows:
+			// let the operator below build them in one reused row.
+			switch c := root.(type) {
+			case *projectOp:
+				c.arena.reuse, sop.copyKept = true, true
+			case *groupOp:
+				c.arena.reuse, sop.copyKept = true, true
+			}
+		}
+		root = sop
 	}
 	if start > 0 || limit >= 0 {
 		root = &limitOp{child: root, skip: start, limit: limit}

@@ -16,8 +16,7 @@ import "strings"
 // row-at-a-time tree (vecops.go).
 
 // vecBatchRows is the vectorized executor's batch size. It equals
-// segBlockSlots (and morselSize) so one sealed block decodes into exactly
-// one batch.
+// segBlockSlots so one sealed block decodes into exactly one batch.
 const vecBatchRows = segBlockSlots
 
 // debugBreakVectorKernel deliberately corrupts the specialized comparison
@@ -41,17 +40,6 @@ func maskTo(n int) vecBitset {
 		m[n>>6] = 1<<uint(r) - 1
 	}
 	return m
-}
-
-// count returns the number of set bits among [0, n).
-func (s *vecBitset) count(n int) int {
-	c := 0
-	for i := 0; i < n; i++ {
-		if s.get(i) {
-			c++
-		}
-	}
-	return c
 }
 
 // vecCol is one column of one batch: either a broadcast constant or a
@@ -87,22 +75,33 @@ func constCol(val Value) vecCol {
 	return vecCol{konst: true, c: val, kinds: 1 << uint16(val.kind)}
 }
 
-// vecBatch is up to vecBatchRows rows in column-major form. Heap-backed
-// batches keep the source rows (emission hands back the original Row, as
-// the row scan does) and populate only the columns the kernels read;
-// sealed-block batches decode every column and rows is nil.
+// vecBatch is the visible rows of one 1024-slot block in column-major
+// form. Heap-backed batches keep the source rows (emission hands back the
+// original Row, as the row scan does) and populate only the columns the
+// kernels read; sealed-block batches decode those columns from the block
+// (every column when the scan emits rows, which it builds from them) and
+// keep rows nil.
 type vecBatch struct {
+	idx  int // slot block ordinal: the batch covers slots [idx*vecBatchRows, (idx+1)*vecBatchRows)
 	n    int
 	cols []vecCol
 	rows []Row
 	sel  vecBitset // rows surviving the filter
-	// pre[i] counts the invisible versions the gather stepped over
-	// immediately before row i — replayed at emission time so tombstone
-	// accounting is bit-identical to the row scan's lazy walk.
-	pre []int32
-	// seq increments per loaded batch; downstream kernel caches key their
+	// pre[i] counts the invisible versions the load stepped over
+	// immediately before row i, and tail those after the last row —
+	// replayed at emission time so tombstone accounting is bit-identical
+	// to the row scan's lazy walk.
+	pre  []int32
+	tail int32
+	blk  *segBlock // sealed block behind the batch; nil for heap blocks
+	// seq increments per emitted batch; downstream kernel caches key their
 	// per-batch results on it.
 	seq uint64
+
+	// Buffers reused across loads by the goroutine that owns the batch.
+	colBuf [][]Value
+	rowBuf []Row
+	lazy   [][]Value // columns of blk decoded on demand (materializeRow)
 }
 
 // ---------------------------------------------------------------------------
@@ -118,10 +117,15 @@ type vecPredFn func(b *vecBatch, t, nl *vecBitset)
 
 // vecCompiler compiles expressions against one base table's schema. It
 // records which column ordinals the compiled kernels read, so the scan
-// gathers only those.
+// gathers only those. An ORDER BY key compiler also sees the projection's
+// output columns first (out, whose outer scope is env) and reads them
+// through the item kernels — the scoping compileOrderKey gives the row
+// engine.
 type vecCompiler struct {
-	env  *evalEnv // resolution scope over the scan columns (no outer)
-	need []bool
+	env   *evalEnv // resolution scope over the scan columns (no outer)
+	need  []bool
+	out   *evalEnv // output-column scope, or nil
+	items []vecExprFn
 }
 
 func newVecCompiler(cols []colInfo, db *Database, params []Value) *vecCompiler {
@@ -147,8 +151,17 @@ func (vc *vecCompiler) compileExpr(e Expr) (vecExprFn, bool) {
 		c := constCol(vc.env.params[t.Index])
 		return func(*vecBatch) *vecCol { return &c }, true
 	case *ColumnRef:
-		i, owner, err := vc.env.resolve(t)
-		if err != nil || owner != vc.env {
+		scope := vc.env
+		if vc.out != nil {
+			scope = vc.out
+		}
+		i, owner, err := scope.resolve(t)
+		switch {
+		case err != nil:
+			return nil, false
+		case owner == vc.out:
+			return vc.items[i], true
+		case owner != vc.env:
 			return nil, false
 		}
 		vc.need[i] = true

@@ -12,7 +12,7 @@ import (
 // row-vs-vector equivalence property over a randomized plan corpus with
 // interleaved DML and forced sealing, the EXPLAIN / EXPLAIN ANALYZE
 // surface, the accounting property through vecScanOp, the
-// broken-kernel fault proof, and the unordered-gather aggregation path.
+// broken-kernel fault proof, and DISTINCT aggregation over a pooled scan.
 
 // forceVector pins the vectorized executor on or off for one test.
 func forceVector(t testing.TB, v bool) {
@@ -20,15 +20,6 @@ func forceVector(t testing.TB, v bool) {
 	old := vectorEnabled
 	vectorEnabled = v
 	t.Cleanup(func() { vectorEnabled = old })
-}
-
-// lowerVecMinRows lets a test exercise the vectorized path on tables far
-// smaller than the production size gate would allow.
-func lowerVecMinRows(t testing.TB, n int) {
-	t.Helper()
-	old := vecMinRows
-	vecMinRows = n
-	t.Cleanup(func() { vecMinRows = old })
 }
 
 // vecPred generates a random single-table predicate over v's columns,
@@ -72,7 +63,8 @@ func vecPred(r *rand.Rand) string {
 }
 
 // vecShapes is the plan corpus: bare scans, kernel-heavy projections,
-// plain and grouped aggregation, LIMIT/OFFSET early stops (the lazy
+// plain and grouped aggregation (with and without bare columns outside
+// the aggregates), LIMIT/OFFSET early stops (the lazy
 // accounting), sorts and DISTINCT above the vectorized scan.
 var vecShapes = []func(r *rand.Rand, pred string) string{
 	func(r *rand.Rand, pred string) string {
@@ -86,6 +78,10 @@ var vecShapes = []func(r *rand.Rand, pred string) string{
 	},
 	func(r *rand.Rand, pred string) string {
 		return "SELECT c, COUNT(*), SUM(id), MIN(f) FROM v WHERE " + pred + " GROUP BY c"
+	},
+	func(r *rand.Rand, pred string) string {
+		// Bare columns read each group's representative (first) row.
+		return "SELECT ok, a, f, COUNT(*) FROM v WHERE " + pred + " GROUP BY ok"
 	},
 	func(r *rand.Rand, pred string) string {
 		return fmt.Sprintf("SELECT id, a FROM v WHERE %s LIMIT %d", pred, 1+r.Intn(30))
@@ -242,7 +238,7 @@ func vectorRowProperty(r *rand.Rand, steps int) error {
 }
 
 func TestVectorRowEquivalence(t *testing.T) {
-	lowerVecMinRows(t, 1) // DML can drain every segment; keep vec live on the heap tail
+	lowerBatchMinRows(t, 1) // DML can drain every segment; keep vec live on the heap tail
 	if err := vectorRowProperty(rand.New(rand.NewSource(21)), 160); err != nil {
 		t.Fatal(err)
 	}
@@ -253,7 +249,7 @@ func TestVectorRowEquivalence(t *testing.T) {
 // vectorized executor must diverge from the row engine and the property
 // must report it.
 func TestVectorEquivalenceCatchesBrokenKernel(t *testing.T) {
-	lowerVecMinRows(t, 1)
+	lowerBatchMinRows(t, 1)
 	debugBreakVectorKernel = true
 	defer func() { debugBreakVectorKernel = false }()
 	if err := vectorRowProperty(rand.New(rand.NewSource(21)), 160); err == nil {
@@ -267,7 +263,7 @@ func TestVectorEquivalenceCatchesBrokenKernel(t *testing.T) {
 // on whichever engine serves each access path.
 func TestMetamorphicNoRECAndTLPVectorized(t *testing.T) {
 	forceVector(t, true)
-	lowerVecMinRows(t, 1) // the metamorphic corpus uses small tables
+	lowerBatchMinRows(t, 1) // the metamorphic corpus uses small tables
 	if err := metamorphicProperty(rand.New(rand.NewSource(61)), 250); err != nil {
 		t.Fatal(err)
 	}
@@ -352,15 +348,14 @@ func TestVectorRowFallbackCounter(t *testing.T) {
 }
 
 // ---------------------------------------------------------------------------
-// Unordered gather
+// Aggregates that cannot merge partial states
 
 // TestUnorderedGatherAggEquivalence: a DISTINCT aggregate cannot merge
-// partial states (so partial aggregation bows out), but COUNT/MIN/MAX
-// consumers are order-insensitive, so the scan still parallelizes with
-// morsels gathered in completion order. The results must equal the
-// serial engine's on every run regardless of worker scheduling.
+// partial states, so on a pooled database its batch fold runs on the
+// owner goroutine, in scan order. The results must equal the serial
+// engine's on every run.
 func TestUnorderedGatherAggEquivalence(t *testing.T) {
-	lowerParallelMinRows(t, 8)
+	lowerBatchMinRows(t, 8)
 	par := NewDatabase(WithMaxWorkers(4))
 	ser := NewDatabase(WithMaxWorkers(1))
 	r := rand.New(rand.NewSource(31))
@@ -389,8 +384,8 @@ func TestUnorderedGatherAggEquivalence(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if text := strings.Join(plan, "\n"); !strings.Contains(text, "unordered gather") {
-		t.Fatalf("parallel DISTINCT-aggregate plan missing unordered gather:\n%s", text)
+	if text := strings.Join(plan, "\n"); !strings.Contains(text, "aggregate (single group) (vectorized)") {
+		t.Fatalf("DISTINCT aggregate did not plan the owner-side batch fold:\n%s", text)
 	}
 	for round := 0; round < 8; round++ {
 		for _, q := range queries {
@@ -404,37 +399,6 @@ func TestUnorderedGatherAggEquivalence(t *testing.T) {
 		dml := fmt.Sprintf("UPDATE u SET a = %d WHERE id %% 17 = %d", r.Intn(50), r.Intn(17))
 		par.MustExec(dml)
 		ser.MustExec(dml)
-	}
-	assertNoWorkerLeak(t)
-}
-
-// TestUnorderedGatherGate pins the refusals: GROUP BY, ORDER BY,
-// order-sensitive aggregates and bare column refs outside aggregates
-// must all keep the ordered gather (or stay serial).
-func TestUnorderedGatherGate(t *testing.T) {
-	lowerParallelMinRows(t, 8)
-	db := NewDatabase(WithMaxWorkers(4))
-	db.MustExec("CREATE TABLE u (id INTEGER, a INTEGER, c TEXT, ok BOOL)")
-	rows := make([][]any, 0, 600)
-	for i := 0; i < 600; i++ {
-		rows = append(rows, []any{i, i % 40, "w", i%2 == 0})
-	}
-	if err := db.InsertRows("u", rows); err != nil {
-		t.Fatal(err)
-	}
-	for _, q := range []string{
-		"SELECT ok, COUNT(DISTINCT a) FROM u GROUP BY ok",
-		"SELECT COUNT(DISTINCT a) FROM u ORDER BY 1",
-		"SELECT SUM(DISTINCT a) FROM u",
-		"SELECT GROUP_CONCAT(c) FROM u",
-	} {
-		lines, err := db.Explain(q)
-		if err != nil {
-			t.Fatalf("Explain(%q): %v", q, err)
-		}
-		if text := strings.Join(lines, "\n"); strings.Contains(text, "unordered gather") {
-			t.Fatalf("%q must not take the unordered gather:\n%s", q, text)
-		}
 	}
 	assertNoWorkerLeak(t)
 }
