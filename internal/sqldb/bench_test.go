@@ -165,11 +165,11 @@ func BenchmarkInterleavedReadWrite(b *testing.B) {
 // Parallel-execution benchmarks: each runs the same statement against a
 // single-worker database, a database with the default pool (GOMAXPROCS
 // capped at 8 — what users get) and a 4-worker one, so the batch workers'
-// scan and partial aggregation and the partitioned hash-join build are
-// measured against their serial twins. On a single-CPU host the pooled
-// numbers show coordination overhead, not speedup; with real cores they
-// show the fan-out win. Tables are sized above batchMinRows so the pooled
-// runs genuinely take the parallel paths.
+// scan, partial aggregation and join probe are measured against their
+// serial twins. On a single-CPU host the pooled numbers show coordination
+// overhead, not speedup; with real cores they show the fan-out win.
+// Tables are sized above batchMinRows so the pooled runs genuinely take
+// the parallel paths.
 
 func benchWorkers(b *testing.B, run func(b *testing.B, workers int)) {
 	b.Helper()
@@ -195,8 +195,9 @@ func BenchmarkParallelAgg(b *testing.B) {
 func BenchmarkParallelJoinBuild(b *testing.B) {
 	benchWorkers(b, func(b *testing.B, w int) {
 		db := benchDB(b, 50000, WithMaxWorkers(w))
-		// Right side (items, 50k rows) is the hash-join build side and
-		// sits above the parallel-build threshold.
+		// The right side (items, 50k rows) is the hash-join build side,
+		// hashed on the owner; the probe side (cats, 5k rows) runs on the
+		// batches.
 		benchQuery(b, db, "SELECT items.name, cats.label FROM cats JOIN items ON cats.id = items.cat_id")
 	})
 }
@@ -300,4 +301,12 @@ func BenchmarkVectorAgg(b *testing.B) {
 // discovers new groups and pays the lazy representative-row decode.
 func BenchmarkVectorGroupBy(b *testing.B) {
 	benchVector(b, "SELECT cat_id, COUNT(*), SUM(qty), MIN(price), MAX(price) FROM items GROUP BY cat_id")
+}
+
+// BenchmarkVectorJoinAgg is an equi-join feeding a GROUP BY: items probes
+// the cats primary-key index (an index nested loop join) and the
+// aggregate folds the joined rows. The vec and pool engines run the probe
+// on the scan's batches (vecJoin) and fold the joined chunks.
+func BenchmarkVectorJoinAgg(b *testing.B) {
+	benchVector(b, "SELECT cats.id % 8, COUNT(*), SUM(items.qty) FROM items JOIN cats ON items.cat_id = cats.id WHERE items.qty < 40 GROUP BY cats.id % 8")
 }

@@ -161,7 +161,7 @@ type Database struct {
 type Option func(*Database)
 
 // WithMaxWorkers sets the upper bound on worker goroutines a single query
-// may use for parallel scans, aggregation, and hash-join builds. The
+// may use for parallel scans, aggregation, and join probes. The
 // default is GOMAXPROCS capped at 8; 1 forces fully serial execution.
 func WithMaxWorkers(n int) Option {
 	return func(db *Database) {
@@ -655,6 +655,30 @@ func (idx *Index) appendIDs(dst []int, key []byte) []int {
 	}
 	idx.mu.Unlock()
 	return dst
+}
+
+// appendPostings is appendIDs for a whole probe batch under one latch
+// acquisition: key i is keys[ends[i-1]:ends[i]] (empty: no lookup), and
+// idEnds[i] ends key i's posting list in dst. It stops before the first
+// key that would start past limit ids, so len(idEnds) keys were resolved
+// (at least one, when there are keys).
+func (idx *Index) appendPostings(dst, idEnds []int, keys []byte, ends []int, limit int) ([]int, []int) {
+	idx.mu.Lock()
+	lo := 0
+	for _, hi := range ends {
+		if len(dst) >= limit {
+			break
+		}
+		if hi > lo {
+			if p, ok := idx.m[string(keys[lo:hi])]; ok {
+				dst = append(dst, p.ids...)
+			}
+		}
+		idEnds = append(idEnds, len(dst))
+		lo = hi
+	}
+	idx.mu.Unlock()
+	return dst, idEnds
 }
 
 // addEntry adds id under v's key in the hash map and, when an ordered

@@ -391,7 +391,9 @@ func (f *filterOp) next() (Row, bool, error) {
 // probe rows, evaluate and encode the key, fetch matches through the
 // owner's lookup/matchRow hooks, assemble output rows (the probe side
 // keeps its syntactic position), apply the residual predicate, and pad
-// unmatched LEFT-JOIN probe rows with NULLs.
+// unmatched LEFT-JOIN probe rows with NULLs. With a batched probe (vec
+// set, vecJoin) the batch's worker already did all but the assembly: the
+// loop reads each probe row's slots from the batch's joined output.
 type probeJoinCore struct {
 	probe       operator
 	cols        []colInfo // output schema: left columns then right columns
@@ -403,6 +405,7 @@ type probeJoinCore struct {
 	leftOuter   bool // only when probeIsLeft
 	arena       rowArena
 	keyBuf      []byte
+	vec         *vecScanOp // the batched probe input (probe may wrap it), or nil
 
 	// lookup records the matches for an encoded key and returns their
 	// count; matchRow returns the i-th match of the latest lookup.
@@ -410,28 +413,30 @@ type probeJoinCore struct {
 	matchRow func(i int) Row
 
 	cur      Row // current probe row
-	matches  int
+	matches  int // end of cur's matches (batched: of its joined slots)
 	matchPos int
 	emitted  bool // whether cur produced any output (for LEFT JOIN)
 	haveCur  bool
 }
 
 // initProbeJoin fills the core's environments and compiles the key and
-// residual expressions. cols must already be set.
+// residual expressions, then batches the probe when it can (batchProbe).
+// cols must already be set. The hash join fills the returned stage's
+// build side; nil means the row probe.
 func (c *probeJoinCore) initProbeJoin(probeKeyE, residual Expr,
-	db *Database, params []Value, outer *evalEnv, qc *queryCtx) error {
+	db *Database, params []Value, outer *evalEnv, qc *queryCtx) (*vecJoin, error) {
 	var err error
 	c.probeEnv = newEvalEnv(c.probe.columns(), db, params, outer, qc)
 	if c.probeKey, err = compileExpr(probeKeyE, c.probeEnv); err != nil {
-		return err
+		return nil, err
 	}
 	c.pairEnv = newEvalEnv(c.cols, db, params, outer, qc)
 	if residual != nil {
 		if c.residual, err = compileExpr(residual, c.pairEnv); err != nil {
-			return err
+			return nil, err
 		}
 	}
-	return nil
+	return batchProbe(c, probeKeyE, residual, db, params), nil
 }
 
 func (c *probeJoinCore) columns() []colInfo { return c.cols }
@@ -452,30 +457,36 @@ func (c *probeJoinCore) next() (Row, bool, error) {
 			c.cur = r
 			c.haveCur = true
 			c.emitted = false
-			c.matchPos = 0
-			c.probeEnv.row = r
-			k, err := c.probeKey()
-			if err != nil {
+			if c.vec != nil {
+				c.matchPos, c.matches = c.vec.joinedSlots()
+			} else if err := c.probeRow(); err != nil {
 				return nil, false, err
-			}
-			c.matches = 0
-			if !k.IsNull() { // NULL keys never join
-				c.keyBuf = appendValueKey(c.keyBuf[:0], k)
-				c.matches = c.lookup(c.keyBuf)
 			}
 		}
 		for c.matchPos < c.matches {
-			rr := c.matchRow(c.matchPos)
-			c.matchPos++
+			var rr Row
+			if c.vec != nil {
+				o := &c.vec.b.jout
+				k := c.matchPos
+				c.matchPos++
+				if !o.kept(k) {
+					continue
+				}
+				rr = o.bld[k] // nil: a NULL-padded LEFT JOIN row
+			} else {
+				rr = c.matchRow(c.matchPos)
+				c.matchPos++
+			}
 			out := c.arena.alloc(len(c.cols))
 			if c.probeIsLeft {
 				n := copy(out, c.cur)
-				copy(out[n:], rr)
+				padTo(out[n:], rr)
 			} else {
-				n := copy(out, rr)
+				n := len(out) - len(c.cur)
+				padTo(out[:n], rr)
 				copy(out[n:], c.cur)
 			}
-			if c.residual != nil {
+			if c.residual != nil && c.vec == nil {
 				c.pairEnv.row = out
 				v, err := c.residual()
 				if err != nil {
@@ -493,12 +504,37 @@ func (c *probeJoinCore) next() (Row, bool, error) {
 			c.haveCur = false
 			out := c.arena.alloc(len(c.cols))
 			n := copy(out, c.cur)
-			for i := n; i < len(out); i++ {
-				out[i] = Null
-			}
+			padTo(out[n:], nil)
 			return out, true, nil
 		}
 		c.haveCur = false
+	}
+}
+
+// probeRow evaluates the current probe row's key and looks its matches up.
+func (c *probeJoinCore) probeRow() error {
+	c.matchPos = 0
+	c.probeEnv.row = c.cur
+	k, err := c.probeKey()
+	if err != nil {
+		return err
+	}
+	c.matches = 0
+	if !k.IsNull() { // NULL keys never join
+		c.keyBuf = appendValueKey(c.keyBuf[:0], k)
+		c.matches = c.lookup(c.keyBuf)
+	}
+	return nil
+}
+
+// padTo copies the build row r into dst, or NULLs when r is nil.
+func padTo(dst []Value, r Row) {
+	if r != nil {
+		copy(dst, r)
+		return
+	}
+	for i := range dst {
+		dst[i] = Null
 	}
 }
 
@@ -519,20 +555,6 @@ type hashJoinOp struct {
 	buckets     [][]Row
 	keyIndex    map[string]int
 	curBucket   []Row
-
-	// Parallel build (parallel.go): when the build side is large enough the
-	// table is split into shards keyed by a partition hash; workers encode
-	// keys concurrently and each shard is then built by one worker in global
-	// row order, so every bucket's contents match the serial build exactly.
-	shards       []hashJoinShard
-	nKeys        int // distinct keys across the table (both paths)
-	buildWorkers int // workers used for a parallel build; 0 = serial
-}
-
-// hashJoinShard is one partition of a parallel hash-join build.
-type hashJoinShard struct {
-	keyIndex map[string]int
-	buckets  [][]Row
 }
 
 func newHashJoinOp(probe operator, buildCols []colInfo, buildRows []Row,
@@ -552,36 +574,29 @@ func newHashJoinOp(probe operator, buildCols []colInfo, buildRows []Row,
 		leftKey:     leftKey,
 		rightKey:    rightKey,
 		residualE:   residual,
-		keyIndex:    make(map[string]int),
 	}
 	h.probe = probe
 	h.cols = cols
 	h.probeIsLeft = !buildIsLeft
 	h.leftOuter = leftOuter
 	h.matchRow = func(i int) Row { return h.curBucket[i] }
-
-	// Build phase: partitioned-parallel when the build side is large enough
-	// and the key expression is safe to evaluate concurrently; serial
-	// otherwise. Both paths produce identical buckets (parallel shards keep
-	// global row order), so probe results are bit-identical.
-	if db != nil && qc != nil && db.maxWorkers > 1 &&
-		len(buildRows) >= batchMinRows && parallelSafeExpr(buildKeyE) {
-		if err := h.buildParallel(buildRows, buildKeyE, db, params, outer); err != nil {
-			return nil, err
-		}
-	} else {
-		if err := h.buildSerial(buildRows, buildKeyE, db, params, outer, qc); err != nil {
-			return nil, err
-		}
-	}
-	if err := h.initProbeJoin(probeKeyE, residual, db, params, outer, qc); err != nil {
+	if err := h.build(buildRows, buildKeyE, db, params, outer, qc); err != nil {
 		return nil, err
+	}
+	vj, err := h.initProbeJoin(probeKeyE, residual, db, params, outer, qc)
+	if err != nil {
+		return nil, err
+	}
+	if vj != nil {
+		vj.keyIndex, vj.buckets = h.keyIndex, h.buckets
 	}
 	return h, nil
 }
 
-// buildSerial hashes the build rows on the owner goroutine.
-func (h *hashJoinOp) buildSerial(buildRows []Row, buildKeyE Expr,
+// build hashes the build rows on the owner goroutine in two passes: the
+// first assigns every row its bucket and counts bucket sizes, the second
+// carves all buckets out of one slice, in build-row order.
+func (h *hashJoinOp) build(buildRows []Row, buildKeyE Expr,
 	db *Database, params []Value, outer *evalEnv, qc *queryCtx) error {
 	buildEnv := newEvalEnv(h.buildCols, db, params, outer, qc)
 	buildKey, err := compileExpr(buildKeyE, buildEnv)
@@ -589,26 +604,40 @@ func (h *hashJoinOp) buildSerial(buildRows []Row, buildKeyE Expr,
 		return err
 	}
 	h.keyIndex = make(map[string]int)
+	bucketOf := make([]int32, len(buildRows))
+	var sizes []int
 	var kb []byte
-	for _, r := range buildRows {
+	for ri, r := range buildRows {
 		buildEnv.row = r
 		k, err := buildKey()
 		if err != nil {
 			return err
 		}
 		if k.IsNull() {
-			continue // NULL keys never join
+			bucketOf[ri] = -1 // NULL keys never join
+			continue
 		}
 		kb = appendValueKey(kb[:0], k)
 		i, ok := h.keyIndex[string(kb)]
 		if !ok {
-			i = len(h.buckets)
-			h.buckets = append(h.buckets, nil)
+			i = len(sizes)
+			sizes = append(sizes, 0)
 			h.keyIndex[string(kb)] = i // allocates once per distinct key
 		}
-		h.buckets[i] = append(h.buckets[i], r)
+		bucketOf[ri] = int32(i)
+		sizes[i]++
 	}
-	h.nKeys = len(h.keyIndex)
+	h.buckets = make([][]Row, len(sizes))
+	flat := make([]Row, 0, len(buildRows))
+	for i, n := range sizes {
+		h.buckets[i] = flat[len(flat) : len(flat) : len(flat)+n]
+		flat = flat[:len(flat)+n]
+	}
+	for ri, bi := range bucketOf {
+		if bi >= 0 {
+			h.buckets[bi] = append(h.buckets[bi], buildRows[ri])
+		}
+	}
 	h.lookup = func(key []byte) int {
 		if i, ok := h.keyIndex[string(key)]; ok {
 			h.curBucket = h.buckets[i]
@@ -681,8 +710,12 @@ func newIndexJoinOp(probe operator, table *Table, idx *Index, idxCols []colInfo,
 		return len(j.curRows)
 	}
 	j.matchRow = func(i int) Row { return j.curRows[i] }
-	if err := j.initProbeJoin(probeKeyE, residual, db, params, outer, qc); err != nil {
+	vj, err := j.initProbeJoin(probeKeyE, residual, db, params, outer, qc)
+	if err != nil {
 		return nil, err
+	}
+	if vj != nil {
+		vj.table, vj.idx = table, idx
 	}
 	return j, nil
 }

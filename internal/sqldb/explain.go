@@ -223,12 +223,9 @@ func (p *planPrinter) describe(op operator, depth int) {
 		if t.buildIsLeft {
 			side = "left"
 		}
-		buildNote := ""
-		if t.buildWorkers > 0 {
-			buildNote = fmt.Sprintf(", parallel build workers=%d", t.buildWorkers)
-		}
-		p.emit(depth, "hash join on %s = %s (build %s: %d key(s)%s)%s",
-			t.leftKey.String(), t.rightKey.String(), side, t.nKeys, buildNote, residualNote(t.residualE))
+		p.emit(depth, "hash join on %s = %s (build %s: %d key(s))%s%s",
+			t.leftKey.String(), t.rightKey.String(), side, len(t.keyIndex),
+			batchNote(&t.probeJoinCore), residualNote(t.residualE))
 		p.describe(t.probe, depth+1)
 		p.emit(depth+1, "build side: %d column(s)", len(t.buildCols))
 		if t.buildSrc != nil {
@@ -249,9 +246,9 @@ func (p *planPrinter) describe(op operator, depth int) {
 		if !t.probeIsLeft {
 			sideNote = ", probing right input"
 		}
-		p.emit(depth, "index nested loop join on %s = %s (index %s on %s%s)%s",
+		p.emit(depth, "index nested loop join on %s = %s (index %s on %s%s)%s%s",
 			t.probeKeyE.String(), t.idxKeyE.String(), t.idx.Name, t.table.Name,
-			sideNote, residualNote(t.residualE))
+			sideNote, batchNote(&t.probeJoinCore), residualNote(t.residualE))
 		p.describe(t.probe, depth+1)
 	case *nestedLoopJoinOp:
 		kind := "nested loop join"
@@ -330,6 +327,18 @@ func scanAnnotation(scanned, tombSkipped uint64) string {
 		return fmt.Sprintf("scanned=%d tombstones=%d", scanned, tombSkipped)
 	}
 	return fmt.Sprintf("scanned=%d", scanned)
+}
+
+// batchNote marks a join whose probe runs on the scan's batches (vecJoin),
+// with the probe scan's worker count.
+func batchNote(c *probeJoinCore) string {
+	switch {
+	case c.vec == nil:
+		return ""
+	case c.vec.workers > 1:
+		return fmt.Sprintf(" (batched workers=%d)", c.vec.workers)
+	}
+	return " (batched)"
 }
 
 func residualNote(residual Expr) string {

@@ -29,19 +29,35 @@ import (
 //     must equal the unfiltered result.
 //
 // Both run over an indexed and a plain database executing the same DML,
-// so the properties hold on every access path the planner can choose.
+// so the properties hold on every access path the planner can choose —
+// also over an equi-join with a fixed dimension table (checkJoinForm),
+// which the indexed database probes through an index and the plain one
+// by hash join.
 // Parameterised predicates (checkParamForms) must also agree with their
 // literal twins and with the unindexed database, whatever the kind of
 // the bound value.
 
 // metamorphicDBs builds the mutable corpus table with and without
-// indexes. Options (e.g. WithMaxWorkers) apply to both databases.
+// indexes, plus the join dimension d (k: 0..19 twice, and a NULL key).
+// Options (e.g. WithMaxWorkers) apply to both databases.
 func metamorphicDBs(opts ...Option) (indexed, plain *Database) {
 	indexed = NewDatabase(opts...)
 	plain = NewDatabase(opts...)
 	indexed.MustExec("CREATE TABLE m (id INTEGER PRIMARY KEY, a INTEGER, b INTEGER, c TEXT)")
 	indexed.MustExec("CREATE INDEX idx_m_a ON m (a)")
+	indexed.MustExec("CREATE TABLE d (k INTEGER, w INTEGER)")
+	indexed.MustExec("CREATE INDEX idx_d_k ON d (k)")
 	plain.MustExec("CREATE TABLE m (id INTEGER, a INTEGER, b INTEGER, c TEXT)")
+	plain.MustExec("CREATE TABLE d (k INTEGER, w INTEGER)")
+	for i := 0; i <= 40; i++ {
+		var k any = i % 20
+		if i == 40 {
+			k = nil
+		}
+		for _, db := range []*Database{indexed, plain} {
+			db.MustExec("INSERT INTO d VALUES (?, ?)", k, i)
+		}
+	}
 	return indexed, plain
 }
 
@@ -160,6 +176,47 @@ func checkTLP(db *Database, pred string, params ...any) error {
 	return nil
 }
 
+// checkJoinForm asserts NoREC and TLP for predicate p over m's equi-join
+// with d: the WHERE count against the per-row truth of the projected
+// predicate, and the three partitions against the unfiltered join.
+func checkJoinForm(db *Database, pred string) error {
+	const from = " FROM m JOIN d ON m.a = d.k"
+	filtered, err := db.Query("SELECT COUNT(*)" + from + " WHERE " + pred)
+	if err != nil {
+		return fmt.Errorf("join NoREC filtered query (%s): %v", pred, err)
+	}
+	projected, err := db.Query("SELECT (" + pred + ")" + from)
+	if err != nil {
+		return fmt.Errorf("join NoREC projected query (%s): %v", pred, err)
+	}
+	var truths int64
+	for _, row := range projected.Rows {
+		if !row[0].IsNull() && row[0].AsBool() {
+			truths++
+		}
+	}
+	if n := filtered.Rows[0][0].AsInt(); n != truths {
+		return fmt.Errorf("join NoREC violated for %q: WHERE count %d != per-row count %d", pred, n, truths)
+	}
+	full, err := db.Query("SELECT m.id, m.a, d.w" + from)
+	if err != nil {
+		return fmt.Errorf("join TLP full query: %v", err)
+	}
+	var parts []string
+	for _, where := range []string{"(" + pred + ")", "NOT (" + pred + ")", "(" + pred + ") IS NULL"} {
+		res, err := db.Query("SELECT m.id, m.a, d.w" + from + " WHERE " + where)
+		if err != nil {
+			return fmt.Errorf("join TLP partition %q: %v", where, err)
+		}
+		parts = append(parts, rowMultiset(res)...)
+	}
+	sort.Strings(parts)
+	if want := rowMultiset(full); strings.Join(parts, ",") != strings.Join(want, ",") {
+		return fmt.Errorf("join TLP violated for %q: partitions give %d rows, join has %d", pred, len(parts), len(want))
+	}
+	return nil
+}
+
 // paramPred generates a predicate over the indexed column whose
 // comparands are ? parameters — `a = ?` or `a BETWEEN ? AND ?` — together
 // with its bound values and its literal twin. Values are INT, REAL
@@ -249,10 +306,22 @@ func checkParamForms(indexed, plain *Database, r *rand.Rand) error {
 
 // metamorphicProperty runs the interleaved DML + NoREC/TLP loop and
 // reports the first violation. Exported to the fault-injection tests
-// below via its error return.
-func metamorphicProperty(r *rand.Rand, steps int, opts ...Option) error {
+// below via its error return. bulk rows, drawn from their own generator
+// (so r's literal corpus is unchanged) with ids above the corpus's, are
+// loaded first: enough of them span several batches.
+func metamorphicProperty(r *rand.Rand, steps, bulk int, opts ...Option) error {
 	indexed, plain := metamorphicDBs(opts...)
 	words := []string{"ant", "bee", "cat", "dge", "eel"}
+	br := rand.New(rand.NewSource(int64(bulk)))
+	for i := 0; i < bulk; i++ {
+		var a any = br.Intn(30)
+		if br.Intn(7) == 0 {
+			a = nil
+		}
+		for _, db := range []*Database{indexed, plain} {
+			db.MustExec("INSERT INTO m VALUES (?, ?, ?, ?)", 1_000_000+i, a, br.Intn(50), words[br.Intn(len(words))])
+		}
+	}
 	nextID := 0
 	for i := 0; i < 60; i++ { // seed rows so early predicates see data
 		var a any = r.Intn(30)
@@ -298,6 +367,9 @@ func metamorphicProperty(r *rand.Rand, steps int, opts ...Option) error {
 				return fmt.Errorf("step %d: %v", step, err)
 			}
 			if err := checkTLP(db, pred); err != nil {
+				return fmt.Errorf("step %d: %v", step, err)
+			}
+			if err := checkJoinForm(db, pred); err != nil {
 				return fmt.Errorf("step %d: %v", step, err)
 			}
 		}
@@ -421,19 +493,21 @@ func TestMetamorphicNoRECAndTLPInTransactions(t *testing.T) {
 }
 
 func TestMetamorphicNoRECAndTLP(t *testing.T) {
-	if err := metamorphicProperty(rand.New(rand.NewSource(47)), 400); err != nil {
+	if err := metamorphicProperty(rand.New(rand.NewSource(47)), 400, 0); err != nil {
 		t.Fatal(err)
 	}
 }
 
 // TestMetamorphicNoRECAndTLPParallel re-runs the NoREC/TLP suite with a
-// forced worker pool and the batch threshold lowered below the corpus
-// size, so the filtered/projected/partitioned queries take the parallel
-// batch scan and parallel aggregation paths (COUNT(*) folds per-worker
-// partials in runAggregationVec) while the same DML churns the table.
+// forced worker pool, the batch threshold lowered below the corpus size,
+// and 1100 bulk rows so m spans two batches and the pool splits the work:
+// the filtered/projected/partitioned queries take the parallel batch scan,
+// parallel aggregation (COUNT(*) folds per-worker partials in
+// runAggregationVec) and batched join probe paths while the same DML
+// churns the table.
 func TestMetamorphicNoRECAndTLPParallel(t *testing.T) {
 	lowerBatchMinRows(t, 8)
-	if err := metamorphicProperty(rand.New(rand.NewSource(47)), 400, WithMaxWorkers(4)); err != nil {
+	if err := metamorphicProperty(rand.New(rand.NewSource(47)), 400, 1100, WithMaxWorkers(4)); err != nil {
 		t.Fatal(err)
 	}
 }
@@ -445,7 +519,7 @@ func TestMetamorphicNoRECAndTLPParallel(t *testing.T) {
 func TestMetamorphicCatchesBrokenTombstoneSkip(t *testing.T) {
 	debugDisableTombstoneSkip = true
 	defer func() { debugDisableTombstoneSkip = false }()
-	if err := metamorphicProperty(rand.New(rand.NewSource(47)), 400); err == nil {
+	if err := metamorphicProperty(rand.New(rand.NewSource(47)), 400, 0); err == nil {
 		t.Fatal("metamorphic suite did not detect disabled tombstone skipping")
 	}
 }

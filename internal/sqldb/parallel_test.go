@@ -37,7 +37,10 @@ func assertNoWorkerLeak(t *testing.T) {
 
 // equivDBs builds the property corpus three ways: indexed with a worker
 // pool, indexed serial, and unindexed with a worker pool (so heap scans
-// parallelize too).
+// parallelize too). The dimension table d joins m on m.a = d.k: through
+// its index on the indexed databases, by hash join on the plain one.
+// Every key 0..24 has two rows, so a full probe batch of m fans out past
+// one 1024-slot output chunk; m.a values 25..29 find no row.
 func equivDBs() (par, ser, plain *Database) {
 	par = NewDatabase(WithMaxWorkers(4))
 	ser = NewDatabase(WithMaxWorkers(1))
@@ -45,8 +48,23 @@ func equivDBs() (par, ser, plain *Database) {
 	for _, db := range []*Database{par, ser} {
 		db.MustExec("CREATE TABLE m (id INTEGER PRIMARY KEY, a INTEGER, b INTEGER, c TEXT)")
 		db.MustExec("CREATE INDEX idx_m_a ON m (a)")
+		db.MustExec("CREATE TABLE d (k INTEGER, v REAL, t TEXT)")
+		db.MustExec("CREATE INDEX idx_d_k ON d (k)")
 	}
 	plain.MustExec("CREATE TABLE m (id INTEGER, a INTEGER, b INTEGER, c TEXT)")
+	plain.MustExec("CREATE TABLE d (k INTEGER, v REAL, t TEXT)")
+	words := []string{"ant", "bee", "cat", "dge", "eel"}
+	for i := 0; i < 52; i++ {
+		var k any = i % 25
+		if i >= 50 {
+			k = nil // NULL build keys never join
+		}
+		// Quarter values: every float summation order is exact, so
+		// pooled and serial SUM/AVG agree bit for bit.
+		for _, db := range []*Database{par, ser, plain} {
+			db.MustExec("INSERT INTO d VALUES (?, ?, ?)", k, float64(i)/4, words[i%len(words)])
+		}
+	}
 	return par, ser, plain
 }
 
@@ -73,12 +91,14 @@ func equivPred(r *rand.Rand) string {
 	return p
 }
 
-// TestSerialParallelEquivalence is the PR's core property: with the
+// TestSerialParallelEquivalence is the pool's core property: with the
 // parallel threshold lowered so every eligible statement actually fans
 // out, a pooled database, a serial database, and an unindexed pooled
 // database execute identical interleaved DML and must return row-for-row
 // identical results — same rows, same order — across scans, parallel
-// aggregation, elided orders, and LIMIT truncation.
+// aggregation, elided orders, LIMIT truncation, and joins whose probe
+// runs on the batches (inner and LEFT, NULL keys, fan-out past one
+// output chunk, residual ON conjuncts, aggregates over the join).
 func TestSerialParallelEquivalence(t *testing.T) {
 	lowerBatchMinRows(t, 8)
 	par, ser, plain := equivDBs()
@@ -112,6 +132,19 @@ func TestSerialParallelEquivalence(t *testing.T) {
 	if !strings.Contains(strings.Join(plan, "\n"), "vectorized seq scan m (as m) workers=4") {
 		t.Fatalf("pooled db did not plan a parallel scan:\n%s", strings.Join(plan, "\n"))
 	}
+	for db, line := range map[*Database]string{
+		par:   "index nested loop join on m.a = d.k (index idx_d_k on d) (batched workers=4)",
+		plain: "hash join on m.a = d.k (build right: 25 key(s)) (batched workers=4)",
+	} {
+		plan, err := db.Explain("SELECT d.t, COUNT(*) FROM m JOIN d ON m.a = d.k WHERE b > 10 GROUP BY d.t")
+		if err != nil {
+			t.Fatal(err)
+		}
+		if text := strings.Join(plan, "\n"); !strings.Contains(text, line) ||
+			!strings.Contains(text, "hash aggregate by d.t (vectorized workers=4)") {
+			t.Fatalf("pooled db did not plan the batched join probe:\n%s", text)
+		}
+	}
 
 	queries := func(pred string, r *rand.Rand) []string {
 		return []string{
@@ -122,12 +155,17 @@ func TestSerialParallelEquivalence(t *testing.T) {
 			fmt.Sprintf("SELECT id, a FROM m WHERE %s ORDER BY a LIMIT %d", pred, 1+r.Intn(9)),
 			"SELECT id, a, b FROM m ORDER BY a, id LIMIT 12", // grouped tie-sort on the indexed dbs
 			"SELECT DISTINCT a, b FROM m WHERE " + pred,
+			"SELECT d.t, COUNT(*), SUM(d.v), AVG(d.v), MIN(b) FROM m JOIN d ON m.a = d.k WHERE " + pred + " GROUP BY d.t",
+			"SELECT m.id, m.a, d.v FROM m LEFT JOIN d ON m.a = d.k AND d.v > 3 WHERE " + pred,
+			"SELECT m.id, m.b, d.t FROM m JOIN d ON m.a = d.k WHERE " + pred,
+			"SELECT COUNT(*), SUM(m.b), SUM(d.v) FROM m JOIN d ON m.a = d.k AND m.b > d.v WHERE " + pred,
+			fmt.Sprintf("SELECT m.id, d.t, d.v FROM m JOIN d ON m.a = d.k WHERE %s ORDER BY d.v DESC, m.id LIMIT %d", pred, 1+r.Intn(9)),
 		}
 	}
 	for step := 0; step < 320; step++ {
 		var dml string
 		var params []any
-		switch r.Intn(6) {
+		switch r.Intn(7) {
 		case 0, 1:
 			insert()
 		case 2:
@@ -138,8 +176,12 @@ func TestSerialParallelEquivalence(t *testing.T) {
 			dml, params = "UPDATE m SET b = b + 1 WHERE a > ?", []any{r.Intn(30)}
 		case 4:
 			dml, params = "DELETE FROM m WHERE id = ?", []any{r.Intn(nextID + 1)}
-		default:
+		case 5:
 			dml = fmt.Sprintf("DELETE FROM m WHERE a BETWEEN %d AND %d", r.Intn(28), r.Intn(6))
+		default:
+			// Re-key a dimension row: d's index keeps the stale posting
+			// until vacuum, so index probes must recheck each candidate.
+			dml, params = "UPDATE d SET k = (k + 7) % 25 WHERE k = ?", []any{r.Intn(25)}
 		}
 		if dml != "" {
 			n0, err0 := all[0].Exec(dml, params...)
@@ -203,10 +245,11 @@ func sealTable(t *testing.T, db *Database, table string) {
 
 // TestBatchMorselPlansAtFourWorkers pins the one scan pipeline at a
 // pooled default-sized configuration: over a sealed 20k-row table, the
-// filter-count, aggregate, GROUP BY and top-k shapes all plan the
-// vectorized scan with workers=4 (the aggregates fold per-worker
-// partials, the top-k projection reads the gathered batches), run the
-// kernels (VectorBatches grows), and return what the serial database
+// filter-count, aggregate, GROUP BY, join-aggregate and top-k shapes all
+// plan the vectorized scan with workers=4 (the aggregates fold per-worker
+// partials — over joined chunks when the join's probe runs on the
+// batches — and the top-k projection reads the gathered batches), run
+// the kernels (VectorBatches grows), and return what the serial database
 // returns.
 func TestBatchMorselPlansAtFourWorkers(t *testing.T) {
 	par := NewDatabase(WithMaxWorkers(4))
@@ -216,11 +259,19 @@ func TestBatchMorselPlansAtFourWorkers(t *testing.T) {
 	for i := range rows {
 		// Quarter prices: every float summation order is exact, so the
 		// pooled and serial SUMs must agree bit for bit.
-		rows[i] = []any{i, fmt.Sprintf("p%02d", r.Intn(40)), 1 + r.Intn(20), float64(r.Intn(400)) / 4}
+		rows[i] = []any{i, fmt.Sprintf("p%02d", r.Intn(40)), 1 + r.Intn(20), float64(r.Intn(400)) / 4, r.Intn(1000)}
+	}
+	stores := make([][]any, 1000)
+	for i := range stores {
+		stores[i] = []any{i, fmt.Sprintf("region-%d", r.Intn(8))}
 	}
 	for _, db := range []*Database{par, ser} {
-		db.MustExec("CREATE TABLE s (id INTEGER PRIMARY KEY, product TEXT, qty INTEGER, price REAL)")
+		db.MustExec("CREATE TABLE s (id INTEGER PRIMARY KEY, product TEXT, qty INTEGER, price REAL, store_id INTEGER)")
+		db.MustExec("CREATE TABLE st (id INTEGER PRIMARY KEY, region TEXT)")
 		if err := db.InsertRows("s", rows); err != nil {
+			t.Fatal(err)
+		}
+		if err := db.InsertRows("st", stores); err != nil {
 			t.Fatal(err)
 		}
 		sealTable(t, db, "s")
@@ -233,6 +284,8 @@ func TestBatchMorselPlansAtFourWorkers(t *testing.T) {
 		{"SELECT COUNT(*) FROM s WHERE qty > ? AND price < ?", []any{5, 50.0}, "aggregate (single group) (vectorized workers=4)"},
 		{"SELECT COUNT(*), SUM(qty), MIN(price), MAX(price), SUM(price) FROM s WHERE qty < ?", []any{9}, "aggregate (single group) (vectorized workers=4)"},
 		{"SELECT product, COUNT(*), SUM(qty) FROM s WHERE price > ? GROUP BY product", []any{30.0}, "hash aggregate by product (vectorized workers=4)"},
+		{"SELECT st.region, COUNT(*), SUM(s.qty), SUM(s.price) FROM s JOIN st ON s.store_id = st.id WHERE s.qty > ? GROUP BY st.region", []any{6},
+			"hash aggregate by st.region (vectorized workers=4)\n  index nested loop join on s.store_id = st.id (index auto_st_id on st) (batched workers=4)"},
 		{"SELECT id, price FROM s WHERE qty >= ? ORDER BY price DESC, id LIMIT 10", []any{7}, "project 2 column(s) (vectorized)"},
 	}
 	for _, sh := range shapes {
@@ -281,18 +334,23 @@ func TestBatchMorselPlansAtFourWorkers(t *testing.T) {
 
 // TestBatchDecodeErrorSurfaces: a sealed block that fails to decode
 // surfaces as a typed ErrInternal — through the serial scan, the pooled
-// ordered gather, and the pooled and owner-side aggregation folds — and
-// no worker outlives the query.
+// ordered gather, the pooled and owner-side aggregation folds, and a
+// join whose probe runs on the batches — and no worker outlives the
+// query.
 func TestBatchDecodeErrorSurfaces(t *testing.T) {
 	for _, workers := range []int{1, 4} {
 		db := NewDatabase(WithMaxWorkers(workers))
 		db.MustExec("CREATE TABLE s (id INTEGER, a INTEGER, f FLOAT)")
+		db.MustExec("CREATE TABLE d (k INTEGER, w INTEGER)")
 		rows := make([][]any, 8*segBlockSlots)
 		for i := range rows {
 			rows[i] = []any{i, i % 50, float64(i) / 4}
 		}
 		if err := db.InsertRows("s", rows); err != nil {
 			t.Fatal(err)
+		}
+		for k := 0; k < 50; k++ {
+			db.MustExec("INSERT INTO d VALUES (?, ?)", k, k%3)
 		}
 		sealTable(t, db, "s")
 		lo := 5 * segBlockSlots
@@ -303,7 +361,12 @@ func TestBatchDecodeErrorSurfaces(t *testing.T) {
 			"SELECT id FROM s WHERE a >= 0 ORDER BY f DESC LIMIT 5",
 			"SELECT COUNT(*), SUM(a) FROM s WHERE a >= 0",
 			"SELECT id % 1000, SUM(a) FROM s GROUP BY id % 1000", // many groups: owner fold
+			"SELECT s.id, d.w FROM s JOIN d ON s.a = d.k",
+			"SELECT d.w, COUNT(*), SUM(s.f) FROM s JOIN d ON s.a = d.k GROUP BY d.w",
 		} {
+			if strings.Contains(q, "JOIN") {
+				assertPlans(t, db, q, "(build right: 50 key(s)) (batched")
+			}
 			if _, err := db.Query(q); CodeOf(err) != ErrInternal {
 				t.Fatalf("workers=%d %q: err = %v, want ErrInternal", workers, q, err)
 			}
@@ -312,56 +375,86 @@ func TestBatchDecodeErrorSurfaces(t *testing.T) {
 	}
 }
 
-// TestParallelScanCancellation: cancelling the context mid-iteration of a
-// parallel scan surfaces ErrCanceled and stops every worker; after Close
-// no goroutine lingers and the read lock is released.
-func TestParallelScanCancellation(t *testing.T) {
-	db := bigParallelDB(t, 8192)
-	ctx, cancel := context.WithCancel(context.Background())
-	rows, err := db.QueryRows(ctx, "SELECT id, a FROM big WHERE b >= 0")
+// parallelCursorQueries are the pooled cursors the cancellation and
+// abandonment tests interrupt, with the plan line that puts them on the
+// pool: a plain batch scan, and a self-join whose probe runs on the
+// batches against big's primary-key index.
+var parallelCursorQueries = [][2]string{
+	{"SELECT id, a FROM big WHERE b >= 0", "vectorized seq scan big (as big) workers=4"},
+	{"SELECT x.id, y.b FROM big x JOIN big y ON x.a = y.id WHERE x.b >= 0", "(index auto_big_id on big) (batched workers=4)"},
+}
+
+// assertPlans asserts that q's plan contains line.
+func assertPlans(t *testing.T, db *Database, q, line string) {
+	t.Helper()
+	plan, err := db.Explain(q)
 	if err != nil {
 		t.Fatal(err)
 	}
-	for i := 0; i < 10; i++ {
-		if !rows.Next() {
-			t.Fatalf("Next() = false at warm-up row %d: %v", i, rows.Err())
+	if text := strings.Join(plan, "\n"); !strings.Contains(text, line) {
+		t.Fatalf("%q does not plan %q:\n%s", q, line, text)
+	}
+}
+
+// TestParallelScanCancellation: cancelling the context mid-iteration of a
+// parallel scan (or a batched join probe) surfaces ErrCanceled and stops
+// every worker; after Close no goroutine lingers and the read lock is
+// released.
+func TestParallelScanCancellation(t *testing.T) {
+	db := bigParallelDB(t, 8192)
+	for qi, ql := range parallelCursorQueries {
+		q := ql[0]
+		assertPlans(t, db, q, ql[1])
+		ctx, cancel := context.WithCancel(context.Background())
+		rows, err := db.QueryRows(ctx, q)
+		if err != nil {
+			t.Fatal(err)
 		}
+		for i := 0; i < 10; i++ {
+			if !rows.Next() {
+				t.Fatalf("%q: Next() = false at warm-up row %d: %v", q, i, rows.Err())
+			}
+		}
+		cancel()
+		for rows.Next() {
+		}
+		if CodeOf(rows.Err()) != ErrCanceled {
+			t.Fatalf("%q: Err() = %v, want ErrCanceled", q, rows.Err())
+		}
+		if err := rows.Close(); err != nil {
+			t.Fatal(err)
+		}
+		assertNoWorkerLeak(t)
+		// The read lock must be free again: a write would deadlock otherwise.
+		db.MustExec("INSERT INTO big VALUES (?, 1, 1)", 8192+qi)
 	}
-	cancel()
-	for rows.Next() {
-	}
-	if CodeOf(rows.Err()) != ErrCanceled {
-		t.Fatalf("Err() = %v, want ErrCanceled", rows.Err())
-	}
-	if err := rows.Close(); err != nil {
-		t.Fatal(err)
-	}
-	assertNoWorkerLeak(t)
-	// The read lock must be free again: a write would deadlock otherwise.
-	db.MustExec("INSERT INTO big VALUES (8192, 1, 1)")
 }
 
 // TestParallelScanAbandonedCursor: closing a cursor after a partial read
-// of a parallel scan stops the pool (no goroutine leak, bounded buffered
-// morsels) and releases the lock.
+// of a parallel scan (or a batched join probe) stops the pool (no
+// goroutine leak, bounded buffered morsels) and releases the lock.
 func TestParallelScanAbandonedCursor(t *testing.T) {
 	db := bigParallelDB(t, 8192)
-	rows, err := db.QueryRows(context.Background(), "SELECT id FROM big WHERE b >= 0")
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i := 0; i < 3; i++ {
-		if !rows.Next() {
-			t.Fatalf("Next() = false at row %d: %v", i, rows.Err())
+	for qi, ql := range parallelCursorQueries {
+		q := ql[0]
+		assertPlans(t, db, q, ql[1])
+		rows, err := db.QueryRows(context.Background(), q)
+		if err != nil {
+			t.Fatal(err)
 		}
-	}
-	if err := rows.Close(); err != nil {
-		t.Fatal(err)
-	}
-	assertNoWorkerLeak(t)
-	db.MustExec("DELETE FROM big WHERE id = 0")
-	if got := db.Stats().OpenCursors; got != 0 {
-		t.Fatalf("OpenCursors = %d, want 0", got)
+		for i := 0; i < 3; i++ {
+			if !rows.Next() {
+				t.Fatalf("%q: Next() = false at row %d: %v", q, i, rows.Err())
+			}
+		}
+		if err := rows.Close(); err != nil {
+			t.Fatal(err)
+		}
+		assertNoWorkerLeak(t)
+		db.MustExec("DELETE FROM big WHERE id = ?", qi)
+		if got := db.Stats().OpenCursors; got != 0 {
+			t.Fatalf("%q: OpenCursors = %d, want 0", q, got)
+		}
 	}
 }
 
@@ -461,10 +554,12 @@ func TestParallelAggEquivalence(t *testing.T) {
 	assertNoWorkerLeak(t)
 }
 
-// TestParallelJoinBuildEquivalence pins the partitioned parallel
-// hash-join build: identical join output (values and order) to the
-// serial build, NULL build keys dropped, and the plan annotated with the
-// build worker count.
+// TestParallelJoinBuildEquivalence pins the hash join whose probe runs on
+// the scan's batches (vecJoin), on a pooled database (the pool splits the
+// probe input) and a serial one: identical join output (values and order)
+// to the row engine's probe, NULL build keys dropped, fan-out past one
+// probe round (joinOutMax), and the plan marked with the batched probe's
+// worker count.
 func TestParallelJoinBuildEquivalence(t *testing.T) {
 	lowerBatchMinRows(t, 64)
 	par := NewDatabase(WithMaxWorkers(4))
@@ -484,7 +579,7 @@ func TestParallelJoinBuildEquivalence(t *testing.T) {
 			db.MustExec("INSERT INTO custs VALUES (?, ?)", cid, region)
 		}
 	}
-	for i := 0; i < 600; i++ {
+	for i := 0; i < 2500; i++ { // three probe batches
 		cust, amt := r.Intn(320), r.Intn(500)
 		for _, db := range []*Database{par, ser} {
 			db.MustExec("INSERT INTO orders VALUES (?, ?, ?)", i, cust, amt)
@@ -494,22 +589,100 @@ func TestParallelJoinBuildEquivalence(t *testing.T) {
 		"SELECT o.id, o.cust, c.region FROM orders o JOIN custs c ON o.cust = c.cid",
 		"SELECT o.id, c.region FROM orders o LEFT JOIN custs c ON o.cust = c.cid",
 		"SELECT o.id, c.region FROM orders o JOIN custs c ON o.cust = c.cid + 0", // computed build key
+		// ~290 matches per probe row: each probe batch's output spans
+		// hundreds of chunks, and the pooled merge must order the groups
+		// founded in later chunks by their slot in the whole batch.
+		"SELECT o.id / 64, COUNT(*), SUM(c.region) FROM orders o JOIN custs c ON o.cust % 3 = c.cid % 3 GROUP BY o.id / 64",
+		"SELECT o.id, c.cid, c.region FROM orders o LEFT JOIN custs c ON o.cust % 3 = c.cid % 3 AND c.region < o.amt % 7 WHERE o.id % 4 = 0",
 	}
 	plan, err := par.Explain(queries[0])
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !strings.Contains(strings.Join(plan, "\n"), "parallel build workers=") {
-		t.Fatalf("pooled db did not plan a parallel join build:\n%s", strings.Join(plan, "\n"))
+	if !strings.Contains(strings.Join(plan, "\n"), "(build right: 300 key(s)) (batched workers=4)") {
+		t.Fatalf("pooled db did not plan a batched join probe:\n%s", strings.Join(plan, "\n"))
 	}
 	for _, q := range queries {
-		want := queryStrings(t, ser, q)
-		got := queryStrings(t, par, q)
-		if fmt.Sprint(got) != fmt.Sprint(want) {
-			t.Fatalf("parallel join build diverged on %q (%d vs %d rows)", q, len(got), len(want))
+		forceVector(t, false)
+		want := fmt.Sprint(queryStrings(t, ser, q))
+		forceVector(t, true)
+		for name, db := range map[string]*Database{"pooled": par, "serial": ser} {
+			if got := fmt.Sprint(queryStrings(t, db, q)); got != want {
+				t.Fatalf("%s batched join diverged from the row probe on %q", name, q)
+			}
 		}
 	}
 	assertNoWorkerLeak(t)
+}
+
+// TestBatchedProbeRoundsBounded: a probe batch whose matches fan out past
+// joinOutMax slots is joined in rounds — through the hash join's buckets
+// and through an index — so no round holds more than joinOutMax slots
+// plus one probe row's matches, and the rows still come out complete and
+// in probe order.
+func TestBatchedProbeRoundsBounded(t *testing.T) {
+	db := NewDatabase(WithMaxWorkers(1))
+	db.MustExec("CREATE TABLE p (id INTEGER, k INTEGER)")
+	db.MustExec("CREATE TABLE q (k INTEGER, v INTEGER)")
+	probe := make([][]any, 8192)
+	for i := range probe {
+		probe[i] = []any{i, 1}
+	}
+	if err := db.InsertRows("p", probe); err != nil {
+		t.Fatal(err)
+	}
+	const fanOut = 64 // a 1024-row batch joins to 4 x joinOutMax slots
+	for v := 0; v < fanOut; v++ {
+		db.MustExec("INSERT INTO q VALUES (1, ?)", v)
+	}
+	stmt, err := Parse("SELECT p.id, q.v FROM p JOIN q ON p.k = q.k")
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, access := range []string{"hash", "index"} {
+		if access == "index" {
+			db.MustExec("CREATE INDEX q_k ON q (k)")
+		}
+		qc := newQueryCtx(context.Background(), db)
+		snap, release := db.beginRead(nil)
+		qc.snap = snap
+		root, _, err := buildSelectPlan(stmt.(*SelectStmt), db, nil, nil, true, qc)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var vec *vecScanOp
+		switch j := root.(*projectOp).child.(type) {
+		case *hashJoinOp:
+			vec = j.vec
+		case *indexJoinOp:
+			vec = j.vec
+		}
+		if vec == nil || (vec.join.idx != nil) != (access == "index") {
+			t.Fatalf("%s: plan is not a batched %s join", access, access)
+		}
+		rows, maxSlots := 0, 0
+		for ; ; rows++ {
+			r, ok, err := root.next()
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !ok {
+				break
+			}
+			if id, v := r[0].AsInt(), r[1].AsInt(); id != int64(rows/fanOut) || v != int64(rows%fanOut) {
+				t.Fatalf("%s: row %d = (%d, %d), want (%d, %d)", access, rows, id, v, rows/fanOut, rows%fanOut)
+			}
+			maxSlots = max(maxSlots, len(vec.b.jout.src))
+		}
+		qc.stopWorkers()
+		release()
+		if rows != len(probe)*fanOut {
+			t.Fatalf("%s: join returned %d rows, want %d", access, rows, len(probe)*fanOut)
+		}
+		if maxSlots > joinOutMax+fanOut {
+			t.Fatalf("%s: a probe round held %d slots, want at most %d", access, maxSlots, joinOutMax+fanOut)
+		}
+	}
 }
 
 // TestDMLRangeFastPath pins the satellite range-shaped DML WHERE path:

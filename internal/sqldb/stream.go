@@ -554,10 +554,16 @@ func buildSelectPlan(stmt *SelectStmt, db *Database, params []Value, outer *eval
 	// statement allows it. Elided index orders keep the ordered row scan
 	// (their streaming is the point); join inputs are batched in
 	// buildFrom. The compiler is kept so projection items or aggregates
-	// can be vectorized below.
+	// can be vectorized below — over the joined columns when the source
+	// is a join whose probe runs on the batches (vecJoin), which only an
+	// aggregation folds batch-wise.
 	var vcomp *vecCompiler
+	var vsc *vecScanOp
 	if !orderElided && len(stmt.Joins) == 0 {
 		src, vcomp = tryVectorize(src, db, params, qc, poolScan(stmt, topLevel, outer, aggregate))
+		vsc, _ = src.(*vecScanOp)
+	} else if vj := batchedJoin(src); vj != nil && aggregate {
+		vsc, vcomp = vj.scan, vj.compiler()
 	}
 	markTransient(src)
 
@@ -654,7 +660,7 @@ func buildSelectPlan(stmt *SelectStmt, db *Database, params []Value, outer *eval
 			for _, ob := range stmt.OrderBy {
 				post = append(post, ob.Expr)
 			}
-			vagg = tryVectorizeAgg(src.(*vecScanOp), vcomp, stmt, aggs, readsRepRow(actx, post...), qc)
+			vagg = tryVectorizeAgg(vsc, vcomp, stmt, aggs, readsRepRow(actx, post...), qc)
 		}
 		root = &groupOp{
 			stmt: stmt, child: src, aggs: aggs, actx: actx, env: env,
@@ -680,7 +686,7 @@ func buildSelectPlan(stmt *SelectStmt, db *Database, params []Value, outer *eval
 			if needSort {
 				keys = stmt.OrderBy
 			}
-			vproj = tryVectorizeProj(src.(*vecScanOp), vcomp, items, keys, outCols, qc)
+			vproj = tryVectorizeProj(vsc, vcomp, items, keys, outCols, qc)
 		}
 		root = &projectOp{
 			child: src, outCols: outCols, items: items, env: env,

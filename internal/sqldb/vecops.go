@@ -12,14 +12,14 @@ import (
 // every batch runs the WHERE conjuncts as fused predicate kernels. The
 // same batch is the unit of parallelism: on a pooled database, workers
 // claim batch indexes from an atomic counter, load and filter their
-// batches, and either hand them to the owner goroutine in batch order
+// batches — and, when the scan is an equi-join's probe input, join them
+// (vecJoin) — and either hand them to the owner goroutine in batch order
 // (row and projection consumers) or fold them into private partial
 // aggregates that the owner merges (aggregation).
 //
 // The scan keeps the row-at-a-time `operator` contract towards the rest of
-// the tree — projections, sorts and join probes pull the surviving rows
-// one by one — so every plan shape that reads a large table runs the
-// kernels. Accounting is emission-driven so it stays bit-identical to the
+// the tree — projections, sorts and joins pull the surviving rows one by
+// one — so every plan shape that reads a large table runs the kernels. Accounting is emission-driven so it stays bit-identical to the
 // serial scanOp+filterOp stack even when a LIMIT stops the plan early:
 // rows and the tombstones stepped over before them are counted only when
 // the emission cursor passes them, exactly where the row engine's pull
@@ -180,6 +180,26 @@ func (src *batchSource) loadHeap(b *vecBatch, lo, hi int) {
 	}
 }
 
+// batchStage is one goroutine's private compilation of the work a batch
+// gets after loading: the fused filter kernels and, when a join probes
+// the scan (vecJoin), the probe. Kernels own scratch buffers, so
+// goroutines never share a stage.
+type batchStage struct {
+	preds []vecPredFn
+	probe *joinProbe // nil unless the scan is a batched join's probe input
+}
+
+// run loads batch idx, filters it and, under a batched join, joins it.
+func (st *batchStage) run(src *batchSource, b *vecBatch, idx int) error {
+	if err := src.load(b, idx, st.preds); err != nil {
+		return err
+	}
+	if st.probe != nil {
+		st.probe.run(b, 0)
+	}
+	return nil
+}
+
 // tombstones returns the invisible versions the load stepped over.
 func (b *vecBatch) tombstones() uint64 {
 	t := uint64(b.tail)
@@ -195,6 +215,14 @@ func (b *vecBatch) tombstones() uint64 {
 // aggregation pays for columns outside its kernels only when a batch
 // actually discovers a new group.
 func (b *vecBatch) materializeRow(i int) Row {
+	if j := b.vj; j != nil {
+		// A joined chunk: the probe row and the matched build row (a
+		// NULL-padded LEFT JOIN row has none; zero Values are NULL).
+		r := make(Row, len(b.cols))
+		copy(r[j.probeOff:j.probeOff+len(j.scan.cols)], b.probe.materializeRow(int(b.src[i])))
+		copy(r[j.buildOff:j.buildOff+j.buildW], b.bld[i])
+		return r
+	}
 	if b.blk == nil {
 		return b.rows[i].Clone()
 	}
@@ -232,9 +260,10 @@ type vecScanOp struct {
 	table   *Table
 	qual    string
 	cols    []colInfo
-	preds   []Expr // fused conjuncts, retained for EXPLAIN and per-worker compiles
-	vpreds  []vecPredFn
-	need    []bool // column ordinals the compiled kernels read
+	preds   []Expr     // fused conjuncts, retained for EXPLAIN and per-worker compiles
+	stage   batchStage // the owner goroutine's kernels
+	need    []bool     // column ordinals the compiled kernels read
+	join    *vecJoin   // non-nil: a join probes every batch (batchProbe)
 	qc      *queryCtx
 	db      *Database
 	params  []Value
@@ -292,6 +321,9 @@ func (s *vecScanOp) init() {
 	var snap *snapshot
 	if s.qc != nil {
 		snap = s.qc.snap
+	}
+	if s.join != nil {
+		s.join.init(snap)
 	}
 	s.src = newBatchSource(s.table, snap, s.need, s.needRows)
 	if s.qc != nil {
@@ -412,7 +444,7 @@ func (s *vecScanOp) fetch() (*vecBatch, bool, error) {
 	if s.b == nil {
 		s.b = &vecBatch{}
 	}
-	err := s.src.load(s.b, s.nextIdx, s.vpreds)
+	err := s.stage.run(&s.src, s.b, s.nextIdx)
 	s.nextIdx++
 	return s.b, err == nil, err
 }
@@ -437,16 +469,18 @@ func (s *vecScanOp) countBatch(b *vecBatch) {
 	}
 }
 
-// workerPreds compiles a private copy of the filter kernels (kernels own
-// scratch buffers, so goroutines never share one). The plan compiled the
-// same conjuncts already, so this cannot fail.
-func (s *vecScanOp) workerPreds() []vecPredFn {
+// workerStage compiles a private copy of the scan's batch stage. The plan
+// compiled the same expressions already, so this cannot fail.
+func (s *vecScanOp) workerStage() *batchStage {
 	vc := newVecCompiler(s.cols, s.db, s.params)
-	out := make([]vecPredFn, len(s.preds))
+	st := &batchStage{preds: make([]vecPredFn, len(s.preds))}
 	for i, p := range s.preds {
-		out[i], _ = vc.compilePred(p)
+		st.preds[i], _ = vc.compilePred(p)
 	}
-	return out
+	if s.join != nil {
+		st.probe = s.join.compile()
+	}
+	return st
 }
 
 // ---------------------------------------------------------------------------
@@ -520,7 +554,7 @@ func (s *vecScanOp) startGather() *batchGather {
 	for w := 0; w < nw; w++ {
 		g.wg.Add(1)
 		parallelWorkersActive.Add(1)
-		go g.worker(s.workerPreds())
+		go g.worker(s.workerStage())
 	}
 	go func() {
 		g.wg.Wait()
@@ -529,7 +563,7 @@ func (s *vecScanOp) startGather() *batchGather {
 	return g
 }
 
-func (g *batchGather) worker(preds []vecPredFn) {
+func (g *batchGather) worker(st *batchStage) {
 	defer func() {
 		parallelWorkersActive.Add(-1)
 		g.wg.Done()
@@ -555,7 +589,7 @@ func (g *batchGather) worker(preds []vecPredFn) {
 		default:
 			b = &vecBatch{}
 		}
-		err := g.src.load(b, idx, preds)
+		err := st.run(g.src, b, idx)
 		if err != nil {
 			g.errMu.Lock()
 			if g.err == nil || idx < g.errIdx {
@@ -631,6 +665,376 @@ func (g *batchGather) stop() {
 }
 
 // ---------------------------------------------------------------------------
+// Batched join probe
+
+// vecJoin is the probe stage of an inner or LEFT equi-join whose probe
+// input is a vecScanOp. The goroutine that loaded and filtered a probe
+// batch also joins it — against the hash join's buckets, or through the
+// equality index under the statement snapshot — into the batch's joinOut.
+// The owner then only emits rows (probeJoinCore.next) or merges aggregate
+// partials folded from joined chunks (runAggregationVec). Built on the
+// owner at plan time and read-only once batches load, so every worker
+// shares it.
+type vecJoin struct {
+	scan      *vecScanOp
+	cols      []colInfo // joined schema, the join operator's output columns
+	probeOff  int       // ordinal of the first probe column in a joined row
+	buildOff  int       // ordinal of the first build column
+	buildW    int
+	leftOuter bool
+	keyE      Expr // probe key over the probe columns
+	residual  Expr // non-equi ON remainder over the joined columns, or nil
+	// need marks the joined columns kernels over joined chunks read (the
+	// residual, aggregate keys and arguments); chunks gather only those.
+	need []bool
+
+	// The build side: the hash join's buckets (built on the owner before
+	// any batch loads), or the inner table's equality index, read under
+	// the statement snapshot.
+	keyIndex map[string]int
+	buckets  [][]Row
+	table    *Table
+	idx      *Index
+	snap     *snapshot
+}
+
+// joinOutMax bounds the slots of one probe round. A batch whose matches
+// fan out further is joined in several rounds, each resuming at the
+// first probe row the previous one left, so a batch's joined output
+// stays bounded whatever the fan-out — a round always takes at least one
+// probe row whole, so one row's matches are the exception.
+const joinOutMax = 16 * vecBatchRows
+
+// joinOut is one probe round's joined output, one entry per output slot,
+// in the row probe's order: probe position first, then match order
+// (bucket order, or ascending row id through the index).
+type joinOut struct {
+	from, to int      // the round joined probe rows [from, to)
+	skipped  int      // slots of the batch's earlier rounds
+	start    []int32  // start[i-from]: first slot of probe row i; start[to-from] = slots
+	src      []int32  // probe position of each slot
+	bld      []Row    // matched build row; nil pads an unmatched LEFT JOIN row
+	pass     []uint64 // bitset over slots: the row survived the residual
+}
+
+func (o *joinOut) kept(k int) bool { return o.pass[k>>6]&(1<<uint(k&63)) != 0 }
+
+// slots returns the slot range of probe row i, which the round joined.
+func (o *joinOut) slots(i int) (int, int) {
+	return int(o.start[i-o.from]), int(o.start[i-o.from+1])
+}
+
+// joinProbe is one goroutine's private compilation of a vecJoin: the
+// probe-key kernel, the residual predicate kernel, and scratch.
+type joinProbe struct {
+	j        *vecJoin
+	key      vecExprFn
+	residual vecPredFn // nil without a residual
+	ch       vecBatch  // the joined chunk chunk gathers into
+	kb       []byte    // encoded keys: one scratch key, or the batch's keys
+	kEnd     []int     // index probe: end of probe row i's key in kb
+	ids      []int     // index probe: the batch's posting lists
+	idEnd    []int     // index probe: end of probe row i's ids
+	rb       []byte    // index probe: recheck key scratch
+}
+
+// batchProbe attaches a join's probe stage to its probe input when that
+// input is a batch scan, the probe key compiles to a vector kernel and
+// the residual to a predicate kernel over the joined columns; otherwise
+// it returns nil and the join keeps the row probe.
+func batchProbe(c *probeJoinCore, keyE, residual Expr, db *Database, params []Value) *vecJoin {
+	s, ok := c.probe.(*vecScanOp)
+	if !ok {
+		return nil
+	}
+	kc := newVecCompiler(s.cols, db, params)
+	key, ok := kc.compileExpr(keyE)
+	if !ok {
+		return nil
+	}
+	j := &vecJoin{
+		scan: s, cols: c.cols, buildW: len(c.cols) - len(s.cols),
+		leftOuter: c.leftOuter, keyE: keyE, residual: residual,
+		need: make([]bool, len(c.cols)),
+	}
+	if c.probeIsLeft {
+		j.buildOff = len(s.cols)
+	} else {
+		j.probeOff = j.buildW
+	}
+	jp := &joinProbe{j: j, key: key}
+	if residual != nil {
+		if jp.residual, ok = j.compiler().compilePred(residual); !ok {
+			return nil
+		}
+	}
+	for i, n := range kc.need {
+		s.need[i] = s.need[i] || n
+	}
+	s.join, s.stage.probe, c.vec = j, jp, s
+	return j
+}
+
+// compiler returns a kernel compiler over the joined schema that marks
+// the columns it reads in j.need.
+func (j *vecJoin) compiler() *vecCompiler {
+	s := j.scan
+	return &vecCompiler{env: newEvalEnv(j.cols, s.db, s.params, nil, nil), need: j.need}
+}
+
+// init records the statement snapshot and makes the probe scan load
+// every probe column a joined chunk gathers. Called once, on the owner,
+// before the first batch loads.
+func (j *vecJoin) init(snap *snapshot) {
+	j.snap = snap
+	for pc := range j.scan.cols {
+		if j.need[j.probeOff+pc] {
+			j.scan.need[pc] = true
+		}
+	}
+}
+
+// compile builds one goroutine's joinProbe. The plan compiled the same
+// expressions already, so this cannot fail.
+func (j *vecJoin) compile() *joinProbe {
+	s := j.scan
+	jp := &joinProbe{j: j}
+	jp.key, _ = newVecCompiler(s.cols, s.db, s.params).compileExpr(j.keyE)
+	if j.residual != nil {
+		jp.residual, _ = newVecCompiler(j.cols, s.db, s.params).compilePred(j.residual)
+	}
+	return jp
+}
+
+// batchedJoin returns the probe stage of a join operator whose probe runs
+// on its scan's batches, or nil.
+func batchedJoin(op operator) *vecJoin {
+	var c *probeJoinCore
+	switch t := op.(type) {
+	case *hashJoinOp:
+		c = &t.probeJoinCore
+	case *indexJoinOp:
+		c = &t.probeJoinCore
+	default:
+		return nil
+	}
+	if c.vec == nil {
+		return nil
+	}
+	return c.vec.join
+}
+
+// foldCols is the schema of the rows an aggregation over the scan folds:
+// the joined columns under a batched join, else the scan's.
+func (s *vecScanOp) foldCols() []colInfo {
+	if s.join != nil {
+		return s.join.cols
+	}
+	return s.cols
+}
+
+// joinedSlots returns the joined output slots of the row the scan last
+// emitted. When the round a worker joined ended before that row, the
+// owner joins the batch's next rounds itself.
+func (s *vecScanOp) joinedSlots() (int, int) {
+	o, i := &s.b.jout, s.lastIdx
+	for i >= o.to {
+		s.stage.probe.run(s.b, o.to)
+	}
+	return o.slots(i)
+}
+
+// run joins one round of probe batch b, starting at probe row from, into
+// b.jout: every filter-surviving probe row with a non-NULL key yields its
+// matches, and under a LEFT JOIN a row with none yields one NULL-padded
+// slot, until the round holds joinOutMax slots. The residual then runs as
+// a predicate kernel over each chunk of slots.
+func (jp *joinProbe) run(b *vecBatch, from int) {
+	j, o := jp.j, &b.jout
+	o.skipped += len(o.src)
+	if from == 0 {
+		o.skipped = 0
+	}
+	o.start, o.src, o.bld = o.start[:0], o.src[:0], o.bld[:0]
+	o.from, o.to = from, b.n
+	if b.n > from {
+		keys := jp.key(b)
+		if j.idx != nil {
+			o.to = jp.probeIndex(b, keys, from)
+		} else {
+			o.to = jp.probeHash(b, keys, from)
+		}
+	}
+	o.start = append(o.start, int32(len(o.src)))
+
+	slots := len(o.src)
+	words := (slots + 63) / 64
+	o.pass = o.pass[:0]
+	for w := 0; w < words; w++ {
+		o.pass = append(o.pass, ^uint64(0))
+	}
+	if r := slots & 63; r != 0 {
+		o.pass[words-1] = 1<<uint(r) - 1
+	}
+	if jp.residual == nil {
+		return
+	}
+	for base := 0; base < slots; base += vecBatchRows {
+		ch := jp.chunk(b, base)
+		var t, nl vecBitset
+		jp.residual(ch, &t, &nl)
+		for w := 0; w < (ch.n+63)/64; w++ {
+			o.pass[base>>6+w] &= t[w] // false and NULL both drop, as the row probe
+		}
+	}
+	if !j.leftOuter {
+		return
+	}
+	// A LEFT JOIN row whose every candidate failed the residual is
+	// emitted once, NULL-padded, in its first candidate's slot.
+	for i := o.from; i < o.to; i++ {
+		lo, hi := o.slots(i)
+		if lo == hi {
+			continue
+		}
+		matched := false
+		for k := lo; k < hi && !matched; k++ {
+			matched = o.kept(k)
+		}
+		if !matched {
+			o.bld[lo] = nil
+			o.pass[lo>>6] |= 1 << uint(lo&63)
+		}
+	}
+}
+
+// emit appends probe row i's matches, or its NULL pad under a LEFT JOIN.
+func (jp *joinProbe) emit(o *joinOut, i int, rows []Row) {
+	if len(rows) == 0 && jp.j.leftOuter {
+		o.src = append(o.src, int32(i))
+		o.bld = append(o.bld, nil)
+		return
+	}
+	for _, r := range rows {
+		o.src = append(o.src, int32(i))
+		o.bld = append(o.bld, r)
+	}
+}
+
+// probeHash looks the probe rows' keys up in the hash join's buckets,
+// from row from until the round is full, and returns where it stopped.
+func (jp *joinProbe) probeHash(b *vecBatch, keys *vecCol, from int) int {
+	j, o := jp.j, &b.jout
+	for i := from; i < b.n; i++ {
+		if len(o.src) >= joinOutMax {
+			return i
+		}
+		o.start = append(o.start, int32(len(o.src)))
+		if !b.sel.get(i) {
+			continue
+		}
+		var bucket []Row
+		if v := keys.at(i); !v.IsNull() { // NULL keys never join
+			jp.kb = appendValueKey(jp.kb[:0], v)
+			if bi, ok := j.keyIndex[string(jp.kb)]; ok {
+				bucket = j.buckets[bi]
+			}
+		}
+		jp.emit(o, i, bucket)
+	}
+	return b.n
+}
+
+// probeIndex resolves the probe rows' keys, from row from, through the
+// equality index: their posting lists are copied under one latch
+// acquisition (until the round is full), then each candidate is fetched
+// under the statement snapshot and rechecked against its key, as
+// indexJoinOp's per-row lookup does. Returns where the round stopped.
+func (jp *joinProbe) probeIndex(b *vecBatch, keys *vecCol, from int) int {
+	j, o := jp.j, &b.jout
+	jp.kb, jp.kEnd = jp.kb[:0], jp.kEnd[:0]
+	for i := from; i < b.n; i++ {
+		if b.sel.get(i) {
+			if v := keys.at(i); !v.IsNull() {
+				jp.kb = appendValueKey(jp.kb, v)
+			}
+		}
+		jp.kEnd = append(jp.kEnd, len(jp.kb))
+	}
+	jp.ids, jp.idEnd = j.idx.appendPostings(jp.ids[:0], jp.idEnd[:0], jp.kb, jp.kEnd, joinOutMax)
+	klo, idLo := 0, 0
+	for x, idHi := range jp.idEnd {
+		i := from + x
+		o.start = append(o.start, int32(len(o.src)))
+		key, ids := jp.kb[klo:jp.kEnd[x]], jp.ids[idLo:idHi]
+		klo, idLo = jp.kEnd[x], idHi
+		if !b.sel.get(i) {
+			continue
+		}
+		first := len(o.src)
+		for _, id := range ids {
+			r := j.table.visibleRow(id, j.snap)
+			if r == nil {
+				continue
+			}
+			jp.rb = appendValueKey(jp.rb[:0], r[j.idx.Column])
+			if string(jp.rb) == string(key) {
+				o.src = append(o.src, int32(i))
+				o.bld = append(o.bld, r)
+			}
+		}
+		if len(o.src) == first {
+			jp.emit(o, i, nil)
+		}
+	}
+	return from + len(jp.idEnd)
+}
+
+// chunk gathers output slots [base, base+vecBatchRows) of probe batch b
+// into the goroutine's joined chunk: the joined columns kernels read,
+// and the residual's verdict so far as the selection.
+func (jp *joinProbe) chunk(b *vecBatch, base int) *vecBatch {
+	j, o, ch := jp.j, &b.jout, &jp.ch
+	n := min(vecBatchRows, len(o.src)-base)
+	if ch.cols == nil {
+		ch.cols = make([]vecCol, len(j.cols))
+		ch.colBuf = make([][]Value, len(j.cols))
+	}
+	ch.idx, ch.n, ch.base, ch.probe, ch.vj = b.idx, n, o.skipped+base, b, j
+	ch.src, ch.bld = o.src[base:base+n], o.bld[base:base+n]
+	ch.sel = vecBitset{}
+	copy(ch.sel[:], o.pass[base>>6:(base+n+63)>>6])
+	for c := range ch.cols {
+		if !j.need[c] {
+			ch.cols[c] = vecCol{}
+			continue
+		}
+		buf := ch.colBuf[c]
+		if buf == nil {
+			buf = make([]Value, vecBatchRows)
+			ch.colBuf[c] = buf
+		}
+		if pc := c - j.probeOff; pc >= 0 && pc < len(j.scan.cols) {
+			vals := b.cols[pc].vals
+			for k, p := range ch.src {
+				buf[k] = vals[p]
+			}
+		} else {
+			bc := c - j.buildOff
+			for k, r := range ch.bld {
+				if r == nil {
+					buf[k] = Null
+				} else {
+					buf[k] = r[bc]
+				}
+			}
+		}
+		ch.cols[c].setVals(buf[:n])
+	}
+	return ch
+}
+
+// ---------------------------------------------------------------------------
 // Planner hooks
 
 // filterScanChain walks a filter stack down to its scanOp and collects
@@ -698,7 +1102,7 @@ func tryVectorize(src operator, db *Database, params []Value, qc *queryCtx, pool
 	}
 	return &vecScanOp{
 		table: sc.table, qual: sc.qual, cols: sc.cols,
-		preds: preds, vpreds: vpreds, need: vc.need, qc: qc,
+		preds: preds, stage: batchStage{preds: vpreds}, need: vc.need, qc: qc,
 		db: db, params: params, workers: workers, needRows: true,
 	}, vc
 }
@@ -806,12 +1210,13 @@ type vecAggPlan struct {
 }
 
 // tryVectorizeAgg checks that the GROUP BY keys and aggregate arguments
-// compile to kernels over the vectorized scan (marking the columns they
-// read). All-or-nothing, like the projection. The scan drops needRows —
-// batches carry only the kernel columns, and the representative row a
-// first-seen group needs is materialised lazily (materializeRow). The
-// fold takes the scan's worker pool only when every aggregate's partial
-// states merge exactly.
+// compile to kernels over the vectorized scan — or, when vc compiles over
+// a batched join's columns (vecJoin.compiler), over the joined chunks —
+// marking the columns they read. All-or-nothing, like the projection. The
+// scan drops needRows — batches carry only the kernel columns, and the
+// representative row a first-seen group needs is materialised lazily
+// (materializeRow). The fold takes the scan's worker pool only when every
+// aggregate's partial states merge exactly.
 func tryVectorizeAgg(vsc *vecScanOp, vc *vecCompiler, stmt *SelectStmt, aggs []*FuncCall,
 	repRows bool, qc *queryCtx) *vecAggPlan {
 	saved := append([]bool(nil), vc.need...)
@@ -846,9 +1251,10 @@ func tryVectorizeAgg(vsc *vecScanOp, vc *vecCompiler, stmt *SelectStmt, aggs []*
 }
 
 // aggKernels is one goroutine's private compilation of an aggregation's
-// kernels.
+// kernels: the scan's batch stage, then the group and argument kernels
+// over the batches it yields (the joined chunks, under a batched join).
 type aggKernels struct {
-	preds []vecPredFn
+	stage *batchStage
 	group []vecExprFn
 	args  []vecExprFn
 }
@@ -857,9 +1263,9 @@ type aggKernels struct {
 // compiled the same expressions already, so this cannot fail.
 func (vp *vecAggPlan) compileKernels() aggKernels {
 	s := vp.src
-	vc := newVecCompiler(s.cols, s.db, s.params)
+	vc := newVecCompiler(s.foldCols(), s.db, s.params)
 	k := aggKernels{
-		preds: s.workerPreds(),
+		stage: s.workerStage(),
 		group: make([]vecExprFn, len(vp.groupBy)),
 		args:  make([]vecExprFn, len(vp.args)),
 	}
@@ -874,13 +1280,22 @@ func (vp *vecAggPlan) compileKernels() aggKernels {
 	return k
 }
 
+// scanOrd orders the rows a scan yields: batch index, then slot within
+// the batch's output (a joined batch's output can exceed vecBatchRows
+// slots).
+type scanOrd struct{ batch, slot int }
+
+func (a scanOrd) less(b scanOrd) bool {
+	return a.batch < b.batch || a.batch == b.batch && a.slot < b.slot
+}
+
 // aggPartial is one goroutine's GROUP BY state over the batches it
 // folded: groups in first-seen order, each with the scan ordinal of the
 // row that founded it, plus the scan counters of those batches.
 type aggPartial struct {
 	index  map[string]int
 	groups []*aggGroup
-	first  []int
+	first  []scanOrd
 	repRow Row // shared representative row when the plan reads none
 
 	scanned, tombs, decoded, batches uint64
@@ -904,10 +1319,11 @@ func newAggPartial(nGroup, nArgs int) *aggPartial {
 	}
 }
 
-// fold adds one loaded batch's surviving rows to the partial groups.
-// morsel keys the order-sensitive float sums (agg.go morselAdder): the
-// batch index under the pool, 0 when one goroutine folds everything, so
-// serial results match the row engine's single left-to-right fold.
+// fold adds one loaded batch's surviving rows — or, under a batched
+// join, its joined chunks' rows — to the partial groups. morsel keys the
+// order-sensitive float sums (agg.go morselAdder): the (probe) batch
+// index under the pool, 0 when one goroutine folds everything, so serial
+// results match the row engine's single left-to-right fold.
 func (p *aggPartial) fold(b *vecBatch, k *aggKernels, aggs []*FuncCall, morsel int) error {
 	p.scanned += uint64(b.n)
 	p.tombs += b.tombstones()
@@ -918,6 +1334,25 @@ func (p *aggPartial) fold(b *vecBatch, k *aggKernels, aggs []*FuncCall, morsel i
 		return nil
 	}
 	p.batches++
+	jp := k.stage.probe
+	if jp == nil {
+		return p.foldRows(b, k, aggs, morsel)
+	}
+	for {
+		for base := 0; base < len(b.jout.src); base += vecBatchRows {
+			if err := p.foldRows(jp.chunk(b, base), k, aggs, morsel); err != nil {
+				return err
+			}
+		}
+		if b.jout.to >= b.n {
+			return nil
+		}
+		jp.run(b, b.jout.to) // the next round of a fanned-out batch
+	}
+}
+
+// foldRows folds the selected rows of one batch or joined chunk.
+func (p *aggPartial) foldRows(b *vecBatch, k *aggKernels, aggs []*FuncCall, morsel int) error {
 	for i, f := range k.group {
 		p.gcols[i] = f(b)
 	}
@@ -954,7 +1389,7 @@ func (p *aggPartial) fold(b *vecBatch, k *aggKernels, aggs []*FuncCall, morsel i
 					states: states,
 					repRow: repRow,
 				})
-				p.first = append(p.first, b.idx*vecBatchRows+i)
+				p.first = append(p.first, scanOrd{b.idx, b.base + i})
 				p.index[string(p.kb)] = gi
 			}
 		}
@@ -1048,7 +1483,7 @@ func runAggregationVec(stmt *SelectStmt, vp *vecAggPlan, aggs []*FuncCall, qc *q
 	nb := s.src.batches()
 	var nullRow Row
 	if !vp.repRows {
-		nullRow = make(Row, len(s.cols)) // zero Values are NULL
+		nullRow = make(Row, len(s.foldCols())) // zero Values are NULL
 	}
 	owner := newAggPartial(len(vp.groupBy), len(aggs))
 	owner.repRow = nullRow
@@ -1062,7 +1497,7 @@ func runAggregationVec(stmt *SelectStmt, vp *vecAggPlan, aggs []*FuncCall, qc *q
 		// The owner's single fold keys every float sum on morsel 0 — the
 		// row engine's one left-to-right fold; batch 0 is morsel 0 under
 		// the pool's per-batch order as well.
-		if owner.err = s.src.load(&b, idx, k.preds); owner.err == nil {
+		if owner.err = k.stage.run(&s.src, &b, idx); owner.err == nil {
 			owner.err = owner.fold(&b, &k, aggs, 0)
 		}
 		if owner.err != nil {
@@ -1101,7 +1536,7 @@ func runAggregationVec(stmt *SelectStmt, vp *vecAggPlan, aggs []*FuncCall, qc *q
 		if err != nil {
 			return nil, err
 		}
-		groups = append(groups, &aggGroup{states: states, repRow: make(Row, len(s.cols))})
+		groups = append(groups, &aggGroup{states: states, repRow: make(Row, len(s.foldCols()))})
 	}
 	return groups, nil
 }
@@ -1136,7 +1571,7 @@ func foldOnWorkers(vp *vecAggPlan, aggs []*FuncCall, repRow Row, qc *queryCtx) [
 				if idx >= nb || abort.Load() || qc.cancelled() != nil {
 					return
 				}
-				err := vp.src.src.load(&b, idx, k.preds)
+				err := k.stage.run(&vp.src.src, &b, idx)
 				if err == nil {
 					err = p.fold(&b, k, aggs, idx)
 				}
@@ -1177,7 +1612,7 @@ func (p *aggPartial) account(s *vecScanOp, qc *queryCtx) {
 func mergePartials(parts []*aggPartial) []*aggGroup {
 	type merged struct {
 		g     *aggGroup
-		first int
+		first scanOrd
 	}
 	byKey := make(map[string]*merged)
 	var all []*merged
@@ -1191,7 +1626,7 @@ func mergePartials(parts []*aggPartial) []*aggGroup {
 				all = append(all, m)
 				continue
 			}
-			if first < m.first {
+			if first.less(m.first) {
 				m.g.keys, m.g.repRow, m.first = g.keys, g.repRow, first
 			}
 			for i := range m.g.states {
@@ -1199,7 +1634,7 @@ func mergePartials(parts []*aggPartial) []*aggGroup {
 			}
 		}
 	}
-	sort.Slice(all, func(a, b int) bool { return all[a].first < all[b].first })
+	sort.Slice(all, func(a, b int) bool { return all[a].first.less(all[b].first) })
 	out := make([]*aggGroup, len(all))
 	for i, m := range all {
 		out[i] = m.g

@@ -102,6 +102,19 @@ type vecBatch struct {
 	colBuf [][]Value
 	rowBuf []Row
 	lazy   [][]Value // columns of blk decoded on demand (materializeRow)
+
+	// jout is a probe batch's joined output under a batched join probe
+	// (vecJoin); it travels with the batch through the ordered gather.
+	jout joinOut
+	// Joined chunks only (joinProbe.chunk): the output slots [base,
+	// base+n) of probe batch probe (counted across its rounds), each
+	// row's probe position and its matched build row (nil pads an
+	// unmatched LEFT JOIN row).
+	probe *vecBatch
+	vj    *vecJoin
+	base  int
+	src   []int32
+	bld   []Row
 }
 
 // ---------------------------------------------------------------------------

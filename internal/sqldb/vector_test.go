@@ -65,7 +65,8 @@ func vecPred(r *rand.Rand) string {
 // vecShapes is the plan corpus: bare scans, kernel-heavy projections,
 // plain and grouped aggregation (with and without bare columns outside
 // the aggregates), LIMIT/OFFSET early stops (the lazy
-// accounting), sorts and DISTINCT above the vectorized scan.
+// accounting), sorts and DISTINCT above the vectorized scan, and index
+// and hash joins (inner and LEFT, with a residual) probing its batches.
 var vecShapes = []func(r *rand.Rand, pred string) string{
 	func(r *rand.Rand, pred string) string {
 		return "SELECT id, a, c FROM v WHERE " + pred
@@ -95,6 +96,17 @@ var vecShapes = []func(r *rand.Rand, pred string) string{
 	},
 	func(r *rand.Rand, pred string) string {
 		return "SELECT DISTINCT ok, c FROM v WHERE " + pred
+	},
+	// Joins with w: the batch engine probes on v's batches (vecJoin).
+	func(r *rand.Rand, pred string) string {
+		return fmt.Sprintf("SELECT v.id, v.a, w.g FROM v JOIN w ON v.a = w.k WHERE %s LIMIT %d", pred, 1+r.Intn(30))
+	},
+	func(r *rand.Rand, pred string) string {
+		return "SELECT w.g, COUNT(*), SUM(v.f), MIN(v.id) FROM v LEFT JOIN w ON v.a = w.j AND v.f > w.k WHERE " + pred + " GROUP BY w.g"
+	},
+	func(r *rand.Rand, pred string) string {
+		// v.c reads each group's representative joined row.
+		return "SELECT w.g, v.c, COUNT(*), AVG(v.f) FROM v JOIN w ON v.a = w.k WHERE " + pred + " GROUP BY w.g"
 	},
 }
 
@@ -128,7 +140,11 @@ func vectorRowProperty(r *rand.Rand, steps int) error {
 	defer func(v bool) { vectorEnabled = v }(vectorEnabled)
 	db := NewDatabase()
 	db.MustExec("CREATE TABLE v (id INTEGER, a INTEGER, f FLOAT, c TEXT, ok BOOL)")
+	db.MustExec("CREATE TABLE w (k INTEGER PRIMARY KEY, j INTEGER, g TEXT)")
 	words := []string{"ant", "bee", "cat", "dge", "eel"}
+	for k := 0; k < 60; k++ {
+		db.MustExec("INSERT INTO w VALUES (?, ?, ?)", k, k%30, words[k%len(words)])
+	}
 	nextID := 0
 	mkRow := func() []any {
 		var a any = r.Intn(40)
@@ -264,14 +280,14 @@ func TestVectorEquivalenceCatchesBrokenKernel(t *testing.T) {
 func TestMetamorphicNoRECAndTLPVectorized(t *testing.T) {
 	forceVector(t, true)
 	lowerBatchMinRows(t, 1) // the metamorphic corpus uses small tables
-	if err := metamorphicProperty(rand.New(rand.NewSource(61)), 250); err != nil {
+	if err := metamorphicProperty(rand.New(rand.NewSource(61)), 250, 0); err != nil {
 		t.Fatal(err)
 	}
 }
 
 func TestMetamorphicNoRECAndTLPRowEngine(t *testing.T) {
 	forceVector(t, false)
-	if err := metamorphicProperty(rand.New(rand.NewSource(61)), 250); err != nil {
+	if err := metamorphicProperty(rand.New(rand.NewSource(61)), 250, 0); err != nil {
 		t.Fatal(err)
 	}
 }
@@ -303,6 +319,26 @@ func TestVectorExplainShapes(t *testing.T) {
 	}
 	if !strings.Contains(plan("SELECT c, COUNT(*), MIN(a) FROM s WHERE a > 10 GROUP BY c"), "(vectorized)") {
 		t.Fatal("vectorized aggregation not marked in plan")
+	}
+	// A join whose probe input is the batch scan probes on its batches,
+	// and an aggregate above it folds the joined chunks.
+	db.MustExec("CREATE TABLE d (k INTEGER PRIMARY KEY, w TEXT)")
+	for k := 0; k < 50; k++ {
+		db.MustExec("INSERT INTO d VALUES (?, ?)", k, fmt.Sprintf("w%d", k%4))
+	}
+	joinPlan := plan("SELECT d.w, COUNT(*), SUM(s.f) FROM s JOIN d ON s.a = d.k WHERE s.ok GROUP BY d.w")
+	for _, line := range []string{
+		"hash aggregate by d.w (vectorized)",
+		"index nested loop join on s.a = d.k (index auto_d_k on d) (batched)",
+		"vectorized seq scan s (as s)",
+	} {
+		if !strings.Contains(joinPlan, line) {
+			t.Fatalf("join plan missing %q:\n%s", line, joinPlan)
+		}
+	}
+	if !strings.Contains(plan("SELECT s.id, d.w FROM s JOIN d ON s.a = d.k AND s.f > 3"),
+		"(index auto_d_k on d) (batched) residual (s.f > 3)") {
+		t.Fatal("batched join probe with residual not marked in plan")
 	}
 
 	a, err := db.ExplainAnalyze(context.Background(), "SELECT COUNT(*) FROM s WHERE a < 50")
