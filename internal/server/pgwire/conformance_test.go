@@ -242,6 +242,31 @@ func TestSimpleQueryDML(t *testing.T) {
 	}
 }
 
+// TestFailedInsertLeavesNoRows: a multi-row INSERT that breaks the
+// primary key answers an ErrorResponse with SQLSTATE 23000 and leaves the
+// table exactly as it was — the rows before the duplicate are not kept.
+func TestFailedInsertLeavesNoRows(t *testing.T) {
+	_, db, addr := startServer(t, Options{})
+	c := dial(t, addr)
+	mustQuery(t, c, `CREATE TABLE k (id INTEGER PRIMARY KEY, v TEXT)`)
+	mustQuery(t, c, `INSERT INTO k VALUES (1, 'a'), (2, 'b')`)
+	before := engineRows(t, db, `SELECT id, v FROM k`)
+
+	res, err := c.Query(`INSERT INTO k VALUES (3, 'c'), (4, 'd'), (1, 'dup')`)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if res.Err == nil || res.Err.Code != "23000" {
+		t.Fatalf("duplicate-key INSERT error = %v, want SQLSTATE 23000", res.Err)
+	}
+	if rows := wireRows(mustQuery(t, c, `SELECT count(*) FROM k`)); !reflect.DeepEqual(rows, []string{"2"}) {
+		t.Fatalf("count after the failed INSERT = %v, want [2]", rows)
+	}
+	if after := engineRows(t, db, `SELECT id, v FROM k`); !reflect.DeepEqual(after, before) {
+		t.Fatalf("rows after the failed INSERT = %q, want %q", after, before)
+	}
+}
+
 // TestMultiStatementSimpleQuery: one Query message carrying several
 // statements produces one response per statement, one ReadyForQuery at
 // the end, and stops at the first error.

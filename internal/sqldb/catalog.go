@@ -510,37 +510,111 @@ func (t *Table) visibleRow(id int, snap *snapshot) Row {
 // ---------------------------------------------------------------------------
 // DML primitives (all under the database's single-writer latch)
 
-// insertRow appends a row (aligned to table order) as a new version
-// chain stamped with the writing transaction, maintains every index, and
-// enforces NOT NULL and UNIQUE constraints.
-func (t *Table) insertRow(r Row, qc *queryCtx, tx *Txn) error {
-	if len(r) != len(t.Columns) {
-		return errf(ErrMisuse, "sql: table %s expects %d values, got %d", t.Name, len(t.Columns), len(r))
-	}
-	for i, c := range t.Columns {
-		r[i] = coerce(r[i], c.Type)
-		if c.NotNull && r[i].IsNull() {
-			return errf(ErrConstraint, "sql: NOT NULL constraint failed: %s.%s", t.Name, c.Name)
+// validate is phase 1's constraint check for one DML statement (db.go):
+// arity, affinity coercion (in place), NOT NULL, and UNIQUE on the
+// statement's final state. news are the rows the statement writes, in
+// table order; olds[i] is the current row news[i] replaces, and olds is
+// nil for an INSERT, whose rows replace none.
+func (t *Table) validate(olds, news []Row) error {
+	for _, r := range news {
+		if len(r) != len(t.Columns) {
+			return errf(ErrMisuse, "sql: table %s expects %d values, got %d", t.Name, len(t.Columns), len(r))
+		}
+		for i, c := range t.Columns {
+			r[i] = coerce(r[i], c.Type)
+			if c.NotNull && r[i].IsNull() {
+				return errf(ErrConstraint, "sql: NOT NULL constraint failed: %s.%s", t.Name, c.Name)
+			}
 		}
 	}
-	idxs := t.idxs()
-	for _, idx := range idxs {
-		if idx.Unique && !r[idx.Column].IsNull() && t.liveKeyCount(idx, r[idx.Column].Key()) > 0 {
-			return errf(ErrConstraint, "sql: UNIQUE constraint failed: %s.%s = %s",
-				t.Name, t.Columns[idx.Column].Name, r[idx.Column])
+	for _, idx := range t.idxs() {
+		if idx.Unique {
+			if err := t.checkUnique(idx, olds, news); err != nil {
+				return err
+			}
 		}
 	}
+	return nil
+}
+
+// checkUnique checks one UNIQUE index against the statement's final
+// state: a key's final occupancy is its live count now, minus the
+// statement's rows leaving it, plus its rows moving in. Checking the
+// final state rather than row by row is what lets a key rotation (SET
+// id = id + 1) through, and phase 2 may pass through transient
+// duplicates. The first row (in statement order) moving into a key that
+// ends up occupied twice is reported.
+func (t *Table) checkUnique(idx *Index, olds, news []Row) error {
+	col := idx.Column
+	// movesTo reports the key row i moves into and the key it leaves; ""
+	// (no key encodes empty) stands for none — a NULL, an INSERT's old
+	// key, or both keys of an UPDATE that keeps its key.
+	movesTo := func(i int) (key, old string) {
+		if olds != nil {
+			old = olds[i][col].Key()
+		}
+		if v := news[i][col]; !v.IsNull() {
+			key = v.Key()
+		}
+		if key == old {
+			return "", ""
+		}
+		return key, old
+	}
+	failed := func(i int) error {
+		return errf(ErrConstraint, "sql: UNIQUE constraint failed: %s.%s = %s",
+			t.Name, t.Columns[col].Name, news[i][col])
+	}
+	if len(news) == 1 {
+		// One row, the common statement: no map, and its key stays off the
+		// heap (movesTo's would not).
+		v := news[0][col]
+		if v.IsNull() || olds != nil && olds[0][col].Key() == v.Key() || t.liveKeyCount(idx, v.Key()) == 0 {
+			return nil
+		}
+		return failed(0)
+	}
+	delta := make(map[string]int, len(news)) // rows moving in minus rows leaving
+	for i := range news {
+		key, old := movesTo(i)
+		if old != "" {
+			delta[old]--
+		}
+		if key != "" {
+			delta[key]++
+		}
+	}
+	var over map[string]bool
+	for key, d := range delta {
+		if d > 0 && t.liveKeyCount(idx, key)+d > 1 {
+			if over == nil {
+				over = make(map[string]bool)
+			}
+			over[key] = true
+		}
+	}
+	for i := 0; over != nil && i < len(news); i++ {
+		if key, _ := movesTo(i); over[key] {
+			return failed(i)
+		}
+	}
+	return nil
+}
+
+// insertRow appends a validated row (table order, see validate) as a new
+// version chain stamped with the writing transaction and maintains every
+// index. It cannot fail.
+func (t *Table) insertRow(r Row, qc *queryCtx, tx *Txn) {
 	id := t.appendSlot(&rowVersion{xmin: tx.xid, row: r})
 	t.liveRows.Add(1)
 	tx.record(undoInsert, t, id)
-	for _, idx := range idxs {
+	for _, idx := range t.idxs() {
 		if idx.addEntry(r[idx.Column], id) && qc != nil {
 			qc.ordMaintains++
 		}
 	}
 	tx.logWALOp(walOp{kind: 'I', table: t.Name, row: r})
 	tx.db.sealDebt.Add(1)
-	return nil
 }
 
 // deleteRow stamps the current head with the deleting transaction. The
@@ -558,9 +632,8 @@ func (t *Table) deleteRow(id int, tx *Txn) {
 
 // updateRow prepends a new version at the same slot (row ids are stable;
 // scan order without ORDER BY is preserved) and adds superset index
-// entries for every key that changed. Constraint checks happen in the
-// callers (checkUpdateUnique per row, or the snapshot path's
-// whole-statement pre-check), so this is pure mechanism.
+// entries for every key that changed. The caller validated the row
+// (validate), so this is pure mechanism and cannot fail.
 func (t *Table) updateRow(id int, updated Row, qc *queryCtx, tx *Txn) {
 	t.dropSegFor(id) // unseal before the update can publish
 	head := t.head(id)
@@ -583,46 +656,13 @@ func (t *Table) updateRow(id int, updated Row, qc *queryCtx, tx *Txn) {
 	}
 }
 
-// checkUpdateUnique enforces UNIQUE constraints for an update the same
-// way insertRow does for inserts: if the updated row moves into a
-// non-NULL key another current row already holds, the statement fails
-// before this row is applied. The snapshot UPDATE path does not use this —
-// it pre-checks the whole statement's final state instead (so it can stay
-// atomic), then applies unchecked.
-func (t *Table) checkUpdateUnique(id int, updated Row) error {
-	old := t.head(id).row
-	for _, idx := range t.idxs() {
-		if !idx.Unique || updated[idx.Column].IsNull() {
-			continue
-		}
-		newKey := updated[idx.Column].Key()
-		if newKey == old[idx.Column].Key() {
-			continue
-		}
-		if t.liveKeyCountExcept(idx, newKey, id) > 0 {
-			return errf(ErrConstraint, "sql: UNIQUE constraint failed: %s.%s = %s",
-				t.Name, t.Columns[idx.Column].Name, updated[idx.Column])
-		}
-	}
-	return nil
-}
-
 // liveKeyCount counts current (latest-committed-or-own) rows whose
 // indexed column carries exactly key. Under writeMu every chain head is
 // committed or the running writer's, so "latest" is unambiguous.
 func (t *Table) liveKeyCount(idx *Index, key string) int {
-	return t.liveKeyCountExcept(idx, key, -1)
-}
-
-func (t *Table) liveKeyCountExcept(idx *Index, key string, except int) int {
 	n := 0
 	for _, id := range idx.copyIDs(key) {
-		if id == except {
-			continue
-		}
-		arrp := t.slots.Load()
-		r := latestRow((*arrp)[id].head.Load())
-		if r != nil && r[idx.Column].Key() == key {
+		if r := t.visibleRow(id, nil); r != nil && r[idx.Column].Key() == key {
 			n++
 		}
 	}

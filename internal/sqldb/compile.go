@@ -9,9 +9,10 @@ import (
 // column references are resolved to (environment, ordinal) pairs once,
 // scalar functions are looked up once, parameters and literals are bound to
 // their values, and operator dispatch happens at compile time instead of a
-// type switch per row. The interpreted evaluator in expr.go remains the
-// engine for DML statements and constant folding, and the compiler is kept
-// semantically identical to it (property tests cross-check the two).
+// type switch per row. Every statement — SELECT, DML, constant folding —
+// evaluates through these closures. An interpreted evaluator survives
+// only in the tests (interp_test.go), as the reference the property tests
+// cross-check the compiler against.
 
 // compiledExpr evaluates an expression against the environments captured at
 // compile time. The owning operator mutates its environment's row between
@@ -59,7 +60,7 @@ func (a *aggCtx) aggIndex(fc *FuncCall) int {
 
 // compileExpr compiles e against env's scope chain. Resolution errors (no
 // such column, ambiguity, unknown functions, missing parameters) surface at
-// compile time with the same messages the interpreter produces at run time.
+// compile time, before any row is read.
 func compileExpr(e Expr, env *evalEnv) (compiledExpr, error) {
 	// Under aggregation, grouping expressions resolve to their group key and
 	// aggregate calls to their accumulated result.

@@ -152,13 +152,10 @@ func (db *Database) ExecContext(ctx context.Context, sql string, params ...any) 
 			return total, err
 		}
 		n, err := db.execStmt(qc, stmt, vals, nil)
-		// DML applies partially on a mid-loop error or cancellation (the
-		// in-place paths keep their documented early-exit invariants), so
-		// the affected-row count is accumulated even when err != nil.
-		total += n
 		if err != nil {
 			return total, err
 		}
+		total += n
 	}
 	return total, nil
 }
@@ -383,6 +380,21 @@ func (db *Database) dropTable(stmt *DropTableStmt, tx *Txn) error {
 	return db.logAutocommitDDL(stmt.String())
 }
 
+// Every INSERT, UPDATE and DELETE runs in two phases. Phase 1 is
+// read-only and runs under the statement snapshot beginWrite captured:
+// UPDATE and DELETE pick their victims through the planner's single-table
+// access path (dmlVictims), every new row is computed with compiled
+// expressions, and Table.validate checks the whole statement — arity,
+// coercion, NOT NULL, and UNIQUE on the statement's final state. Phase 2
+// applies the changes in ascending row id through insertRow, updateRow and
+// deleteRow, which cannot fail; WAL replay's content addressing
+// (recovery.go) depends on that order. Errors and cancellation can only
+// strike in phase 1, so a failed statement leaves no trace — no applied
+// row, no undo record, no WAL op — in autocommit and inside a transaction
+// alike. The statement's own writes are never visible to phase 1, which
+// is what keeps self-referential subqueries (the Halloween problem)
+// evaluating against the pre-statement state.
+
 func (db *Database) execInsert(stmt *InsertStmt, params []Value, qc *queryCtx, tx *Txn) (n int, err error) {
 	wtx, end, err := db.beginWrite(qc, tx)
 	if err != nil {
@@ -390,9 +402,7 @@ func (db *Database) execInsert(stmt *InsertStmt, params []Value, qc *queryCtx, t
 	}
 	// end() publishes the autocommit statement; on a durable database it
 	// also appends the WAL record, whose failure must surface as the
-	// statement's error even over an engine error — an I/O failure poisons
-	// the log, and a statement whose partial work was applied but not made
-	// durable must report that.
+	// statement's error: an I/O failure poisons the log.
 	defer func() {
 		if e := end(); e != nil {
 			err = e
@@ -420,65 +430,80 @@ func (db *Database) execInsert(stmt *InsertStmt, params []Value, qc *queryCtx, t
 
 	var sourceRows []Row
 	if stmt.Select != nil {
-		rows, _, err := execSelect(stmt.Select, db, params, nil, qc)
-		if err != nil {
+		if sourceRows, _, err = execSelect(stmt.Select, db, params, nil, qc); err != nil {
 			return 0, err
 		}
-		sourceRows = rows
 	} else {
 		env := newEvalEnv(nil, db, params, nil, qc)
 		for _, exprs := range stmt.Rows {
 			row := make(Row, len(exprs))
 			for i, e := range exprs {
-				v, err := evalExpr(e, env)
-				if err != nil {
+				if row[i], err = evalConst(e, env); err != nil {
 					return 0, err
 				}
-				row[i] = v
 			}
 			sourceRows = append(sourceRows, row)
 		}
 	}
-
-	for _, src := range sourceRows {
+	rows := sourceRows // rewritten in place to full table-order rows
+	for i, src := range sourceRows {
 		if len(src) != len(colOrder) {
-			return n, errf(ErrMisuse, "sql: table %s expects %d values, got %d", t.Name, len(colOrder), len(src))
+			return 0, errf(ErrMisuse, "sql: table %s expects %d values, got %d", t.Name, len(colOrder), len(src))
 		}
 		full := make(Row, len(t.Columns))
-		for i := range full {
-			full[i] = Null
+		for ci := range full {
+			full[ci] = Null
 		}
-		for i, ci := range colOrder {
-			full[ci] = src[i]
+		for j, ci := range colOrder {
+			full[ci] = src[j]
 		}
-		if err := t.insertRow(full, qc, wtx); err != nil {
-			return n, err
-		}
-		n++
+		rows[i] = full
 	}
-	return n, nil
+	if err := t.validate(nil, rows); err != nil {
+		return 0, err
+	}
+	for _, r := range rows {
+		t.insertRow(r, qc, wtx)
+	}
+	return len(rows), nil
 }
 
-// hasSubquery reports whether any of the expressions contains a subquery
-// (scalar, EXISTS, or IN (SELECT ...)) at any depth. DML uses it to pick
-// snapshot evaluation: a subquery may read the very table being mutated.
-func hasSubquery(exprs ...Expr) bool {
-	found := false
-	for _, e := range exprs {
-		if e == nil {
-			continue
-		}
-		walkExpr(e, func(x Expr) bool {
-			if isSubqueryNode(x) {
-				found = true
+// dmlVictims is phase 1's victim selection for UPDATE and DELETE, planned
+// as the planner plans a single-table SELECT: the WHERE conjuncts an index
+// can serve pick sc's access path (chooseScanAccess) and the rest compile
+// into a filter, so name-resolution errors surface before any row is read.
+// It calls visit on every qualifying row and returns their ids; each
+// access path emits rows in ascending row id.
+func dmlVictims(sc *scanOp, where Expr, db *Database, params []Value, qc *queryCtx, visit func(Row) error) ([]int, error) {
+	var root operator = sc
+	if where != nil {
+		if rest := joinConjuncts(chooseScanAccess(sc, splitConjuncts(where), params)); rest != nil {
+			f, err := newFilterOp(sc, rest, db, params, nil, qc)
+			if err != nil {
+				return nil, err
 			}
-			return !found
-		})
-		if found {
-			return true
+			root = f
 		}
 	}
-	return false
+	var ids []int
+	for {
+		r, ok, err := root.next()
+		if err != nil {
+			return nil, err
+		}
+		if !ok {
+			break
+		}
+		if visit != nil {
+			if err := visit(r); err != nil {
+				return nil, err
+			}
+		}
+		ids = append(ids, sc.lastID)
+	}
+	// The scan samples cancellation; a cancellation it did not sample
+	// still stops the statement before phase 2.
+	return ids, qc.cancelled()
 }
 
 func (db *Database) execUpdate(stmt *UpdateStmt, params []Value, qc *queryCtx, tx *Txn) (n int, err error) {
@@ -495,271 +520,44 @@ func (db *Database) execUpdate(stmt *UpdateStmt, params []Value, qc *queryCtx, t
 	if err != nil {
 		return 0, err
 	}
+	sc := newScanOp(t, t.Name, qc)
+	env := newEvalEnv(sc.cols, db, params, nil, qc)
 	setCols := make([]int, len(stmt.Set))
-	for i, sc := range stmt.Set {
-		ci := t.ColumnIndex(sc.Column)
-		if ci < 0 {
-			return 0, errf(ErrNoColumn, "sql: table %s has no column named %s", t.Name, sc.Column)
+	sets := make([]compiledExpr, len(stmt.Set))
+	for i, s := range stmt.Set {
+		if setCols[i] = t.ColumnIndex(s.Column); setCols[i] < 0 {
+			return 0, errf(ErrNoColumn, "sql: table %s has no column named %s", t.Name, s.Column)
 		}
-		setCols[i] = ci
+		if sets[i], err = compileExpr(s.Expr, env); err != nil {
+			return 0, err
+		}
 	}
-	cols := make([]colInfo, len(t.Columns))
-	for i, c := range t.Columns {
-		cols[i] = colInfo{qual: t.Name, name: c.Name}
-	}
-	env := newEvalEnv(cols, db, params, nil, qc)
-	// A WHERE or SET expression containing a subquery may read the table
-	// being updated. The one-pass loop below mutates rows in place and
-	// defers the index rebuild to the end, so such a subquery would probe
-	// stale index keys over already-updated rows — or lazily build an
-	// ordered view over a half-mutated heap (the Halloween problem).
-	// Those statements take the snapshot path: every evaluation sees the
-	// pre-statement state, and mutation happens only after the last one.
-	setExprs := make([]Expr, 0, len(stmt.Set)+1)
-	setExprs = append(setExprs, stmt.Where)
-	for _, sc := range stmt.Set {
-		setExprs = append(setExprs, sc.Expr)
-	}
-	if hasSubquery(setExprs...) {
-		return execUpdateSnapshot(t, stmt, setCols, env, qc, wtx)
-	}
-	// Each qualifying row is updated through updateRow, which keeps the
-	// hash maps and any live ordered view exactly current — so any exit
-	// (success, an evaluation error, cancellation) leaves the indexes
-	// consistent with the rows updated so far, with no rebuild.
-	update := func(id int, r Row) error {
+	// SET expressions all read the row's current values (env.row), so
+	// SET a = b, b = a swaps.
+	var olds, news []Row
+	ids, err := dmlVictims(sc, stmt.Where, db, params, qc, func(r Row) error {
 		env.row = r
 		updated := r.Clone()
-		for i, sc := range stmt.Set {
-			v, err := evalExpr(sc.Expr, env)
+		for i, set := range sets {
+			v, err := set()
 			if err != nil {
 				return err
 			}
-			updated[setCols[i]] = coerce(v, t.Columns[setCols[i]].Type)
+			updated[setCols[i]] = v
 		}
-		for i, c := range t.Columns {
-			if c.NotNull && updated[i].IsNull() {
-				return errf(ErrConstraint, "sql: NOT NULL constraint failed: %s.%s", t.Name, c.Name)
-			}
-		}
-		if err := t.checkUpdateUnique(id, updated); err != nil {
-			return err
-		}
-		t.updateRow(id, updated, qc, wtx)
+		olds, news = append(olds, r), append(news, updated)
 		return nil
+	})
+	if err != nil {
+		return 0, err
 	}
-	// Fast path: an `UPDATE ... WHERE col = <literal/param>` over an
-	// indexed column touches exactly the index bucket, and a range-shaped
-	// WHERE (col > x, BETWEEN) over one is served from the index's ordered
-	// view — no heap walk and no per-row WHERE evaluation either way.
-	if ids, ok := dmlWhereIDs(t, stmt.Where, params, qc); ok {
-		for _, id := range ids {
-			if err := qc.tickCancelled(); err != nil {
-				return n, err
-			}
-			if err := update(id, latestRow(t.head(id))); err != nil {
-				return n, err
-			}
-			n++
-		}
-		return n, nil
+	if err := t.validate(olds, news); err != nil {
+		return 0, err
 	}
-	arr, nSlots := t.loadSlots()
-	for id := 0; id < nSlots; id++ {
-		r := latestRow(arr[id].head.Load())
-		if r == nil {
-			continue
-		}
-		if err := qc.tickCancelled(); err != nil {
-			return n, err
-		}
-		if stmt.Where != nil {
-			env.row = r
-			v, err := evalExpr(stmt.Where, env)
-			if err != nil {
-				return n, err
-			}
-			if v.IsNull() || !v.AsBool() {
-				continue
-			}
-		}
-		if err := update(id, r); err != nil {
-			return n, err
-		}
-		n++
+	for i, id := range ids {
+		t.updateRow(id, news[i], qc, wtx)
 	}
-	return n, nil
-}
-
-// dmlEqualityIDs serves a DML statement's WHERE clause from an equality
-// index when it has exactly the shape `col = <literal or ? parameter>`
-// over an indexed column of the mutated table — the same match
-// (eqConjunct) and lookup (eqIndexIDs) the planner's access path uses.
-// The returned ids are precisely the rows the statement snapshot sees the
-// predicate holding for, ascending — the order the heap walk would visit
-// them — and are private to the caller. Any other WHERE shape reports
-// ok=false and the caller walks the heap.
-func dmlEqualityIDs(t *Table, where Expr, params []Value, qc *queryCtx) ([]int, bool) {
-	cr, v, ok := eqConjunct(where, params)
-	if !ok {
-		return nil, false
-	}
-	if cr.Table != "" && !strings.EqualFold(cr.Table, t.Name) {
-		return nil, false
-	}
-	idx, ok := t.idxs()[strings.ToLower(cr.Column)]
-	if !ok {
-		return nil, false
-	}
-	return eqIndexIDs(t, idx, v, qc.snap), true
-}
-
-// dmlWhereIDs resolves a DML WHERE to the exact live row ids it holds
-// for, when an index can serve it without a heap walk: equality first,
-// then range shapes over one indexed column.
-func dmlWhereIDs(t *Table, where Expr, params []Value, qc *queryCtx) ([]int, bool) {
-	if ids, ok := dmlEqualityIDs(t, where, params, qc); ok {
-		return ids, true
-	}
-	return dmlRangeIDs(t, where, params, qc)
-}
-
-// dmlRangeIDs serves a DML WHERE whose conjuncts are all range-shaped
-// over the same indexed column (`col > x`, `x <= col`, `col BETWEEN lo
-// AND hi`, with literal or parameter bounds) from the index's ordered
-// view: the conjuncts (matched by the planner's rangeConjunct) tighten
-// into one key range and collectRangeIDs yields exactly the live ids the
-// heap walk would match, ascending — the order the walk would visit them.
-// A NULL bound makes the WHERE NULL for every row, so it matches nothing.
-func dmlRangeIDs(t *Table, where Expr, params []Value, qc *queryCtx) ([]int, bool) {
-	if where == nil {
-		return nil, false
-	}
-	var col *ColumnRef
-	var spec rangeSpec
-	nullBound := false
-	for _, c := range splitConjuncts(where) {
-		cr, cs, nullB, ok := rangeConjunct(c, params)
-		if !ok {
-			return nil, false
-		}
-		if cr.Table != "" && !strings.EqualFold(cr.Table, t.Name) {
-			return nil, false
-		}
-		if col == nil {
-			col = cr
-		} else if !strings.EqualFold(col.Column, cr.Column) {
-			return nil, false
-		}
-		if nullB {
-			nullBound = true
-			continue
-		}
-		spec.lo = tightenLo(spec.lo, cs.lo)
-		spec.hi = tightenHi(spec.hi, cs.hi)
-	}
-	idx, ok := t.idxs()[strings.ToLower(col.Column)]
-	if !ok {
-		return nil, false
-	}
-	if nullBound {
-		return []int{}, true
-	}
-	ids, skipped := collectRangeIDs(t, idx.Column, idx.orderedEntries(), spec, qc.snap)
-	if qc != nil {
-		qc.indexRangeScans++
-		qc.tombstonesSkipped += skipped
-	}
-	return ids, true
-}
-
-// execUpdateSnapshot is the two-phase UPDATE path for statements whose
-// WHERE or SET contains a subquery: phase one evaluates every row against
-// the untouched table (so self-referential subqueries — equality-index
-// probes, correlated probes, ordered scans — see a consistent
-// pre-statement snapshot), phase two applies the collected updates
-// through the incremental index maintenance. Any error or cancellation
-// during phase one aborts with the table untouched, making these
-// statements atomic.
-func execUpdateSnapshot(t *Table, stmt *UpdateStmt, setCols []int, env *evalEnv, qc *queryCtx, wtx *Txn) (int, error) {
-	type pendingUpdate struct {
-		id  int
-		old Row
-		row Row
-	}
-	var pend []pendingUpdate
-	arr, nSlots := t.loadSlots()
-	for id := 0; id < nSlots; id++ {
-		r := latestRow(arr[id].head.Load())
-		if r == nil {
-			continue
-		}
-		if err := qc.tickCancelled(); err != nil {
-			return 0, err // phase one: nothing applied yet
-		}
-		env.row = r
-		if stmt.Where != nil {
-			v, err := evalExpr(stmt.Where, env)
-			if err != nil {
-				return 0, err
-			}
-			if v.IsNull() || !v.AsBool() {
-				continue
-			}
-		}
-		updated := r.Clone()
-		for i, sc := range stmt.Set {
-			v, err := evalExpr(sc.Expr, env)
-			if err != nil {
-				return 0, err
-			}
-			updated[setCols[i]] = coerce(v, t.Columns[setCols[i]].Type)
-		}
-		for i, c := range t.Columns {
-			if c.NotNull && updated[i].IsNull() {
-				return 0, errf(ErrConstraint, "sql: NOT NULL constraint failed: %s.%s", t.Name, c.Name)
-			}
-		}
-		pend = append(pend, pendingUpdate{id: id, old: r, row: updated})
-	}
-	// UNIQUE pre-check over the statement's final state, so a violation
-	// aborts with the table untouched (this path's atomicity guarantee):
-	// for each unique index, a key's final occupancy is its current
-	// posting list minus the pending rows vacating it plus the pending
-	// rows moving in. Checking per-row during application instead would
-	// both break atomicity and spuriously reject key rotations the final
-	// state permits (e.g. SET id = maxid+1-id). Application below is then
-	// unchecked: transient duplicates mid-application are fine.
-	for _, idx := range t.idxs() {
-		if !idx.Unique {
-			continue
-		}
-		var removed, added map[string]int
-		for _, p := range pend {
-			oldKey := p.old[idx.Column].Key()
-			newKey := p.row[idx.Column].Key()
-			if oldKey == newKey {
-				continue
-			}
-			if removed == nil {
-				removed, added = make(map[string]int), make(map[string]int)
-			}
-			removed[oldKey]++
-			if !p.row[idx.Column].IsNull() {
-				added[newKey]++
-			}
-		}
-		for key, add := range added {
-			if t.liveKeyCount(idx, key)-removed[key]+add > 1 {
-				return 0, errf(ErrConstraint, "sql: UNIQUE constraint failed: %s.%s",
-					t.Name, t.Columns[idx.Column].Name)
-			}
-		}
-	}
-	for _, p := range pend {
-		t.updateRow(p.id, p.row, qc, wtx)
-	}
-	return len(pend), nil
+	return len(ids), nil
 }
 
 func (db *Database) execDelete(stmt *DeleteStmt, params []Value, qc *queryCtx, tx *Txn) (n int, err error) {
@@ -776,96 +574,19 @@ func (db *Database) execDelete(stmt *DeleteStmt, params []Value, qc *queryCtx, t
 	if err != nil {
 		return 0, err
 	}
-	cols := make([]colInfo, len(t.Columns))
-	for i, c := range t.Columns {
-		cols[i] = colInfo{qual: t.Name, name: c.Name}
+	ids, err := dmlVictims(newScanOp(t, t.Name, qc), stmt.Where, db, params, qc, nil)
+	if err != nil {
+		return 0, err
 	}
-	env := newEvalEnv(cols, db, params, nil, qc)
-	// Same Halloween hazard as execUpdate: a WHERE subquery over this
-	// table would observe the rows already deleted by this very loop.
-	// Subquery-bearing DELETEs evaluate against the untouched table
-	// first, then apply.
-	if hasSubquery(stmt.Where) {
-		return execDeleteSnapshot(t, stmt, env, qc, wtx)
-	}
-	// Qualifying rows are xmax-stamped as the loop runs (ids stay stable),
-	// so an early exit — cancellation or a WHERE evaluation error — leaves
-	// exactly the examined-and-deleted rows gone and everything else
-	// untouched. Reclamation is the background vacuum's job.
-	// Fast path: `DELETE FROM t WHERE col = <literal/param>` over an
-	// indexed column deletes exactly the index bucket; a range-shaped
-	// WHERE over one deletes exactly the ordered view's window.
-	if stmt.Where != nil {
-		if ids, ok := dmlWhereIDs(t, stmt.Where, params, qc); ok {
-			for _, id := range ids {
-				if err := qc.tickCancelled(); err != nil {
-					return n, err
-				}
-				t.deleteRow(id, wtx)
-				n++
-			}
-			return n, nil
-		}
-	}
-	arr, nSlots := t.loadSlots()
-	for id := 0; id < nSlots; id++ {
-		r := latestRow(arr[id].head.Load())
-		if r == nil {
-			continue
-		}
-		if err := qc.tickCancelled(); err != nil {
-			return n, err
-		}
-		del := true
-		if stmt.Where != nil {
-			env.row = r
-			v, err := evalExpr(stmt.Where, env)
-			if err != nil {
-				return n, err
-			}
-			del = !v.IsNull() && v.AsBool()
-		}
-		if del {
-			t.deleteRow(id, wtx)
-			n++
-		}
-	}
-	return n, nil
-}
-
-// execDeleteSnapshot is the two-phase DELETE path for subquery-bearing
-// statements: phase one evaluates WHERE for every row against the
-// untouched table, phase two stamps the qualifying rows deleted. An error
-// or cancellation during phase one leaves the table untouched.
-func execDeleteSnapshot(t *Table, stmt *DeleteStmt, env *evalEnv, qc *queryCtx, wtx *Txn) (int, error) {
-	var del []int
-	arr, nSlots := t.loadSlots()
-	for id := 0; id < nSlots; id++ {
-		r := latestRow(arr[id].head.Load())
-		if r == nil {
-			continue
-		}
-		if err := qc.tickCancelled(); err != nil {
-			return 0, err // phase one: nothing applied yet
-		}
-		env.row = r
-		v, err := evalExpr(stmt.Where, env)
-		if err != nil {
-			return 0, err
-		}
-		if !v.IsNull() && v.AsBool() {
-			del = append(del, id)
-		}
-	}
-	for _, id := range del {
+	for _, id := range ids {
 		t.deleteRow(id, wtx)
 	}
-	return len(del), nil
+	return len(ids), nil
 }
 
 // InsertRows bulk-loads rows (Go values, table column order) into a table
-// as one autocommit write. It is the fast path used by the benchmark data
-// generators.
+// as one autocommit write, validated as one statement before any row is
+// applied. It is the fast path used by the benchmark data generators.
 func (db *Database) InsertRows(table string, rows [][]any) (err error) {
 	qc := newQueryCtx(context.Background(), db)
 	defer qc.flush()
@@ -882,14 +603,19 @@ func (db *Database) InsertRows(table string, rows [][]any) (err error) {
 	if err != nil {
 		return err
 	}
-	for _, raw := range rows {
+	vals := make([]Row, len(rows))
+	for i, raw := range rows {
 		row := make(Row, len(raw))
-		for i, x := range raw {
-			row[i] = GoValue(x)
+		for j, x := range raw {
+			row[j] = GoValue(x)
 		}
-		if err := t.insertRow(row, qc, wtx); err != nil {
-			return err
-		}
+		vals[i] = row
+	}
+	if err := t.validate(nil, vals); err != nil {
+		return err
+	}
+	for _, r := range vals {
+		t.insertRow(r, qc, wtx)
 	}
 	return nil
 }

@@ -119,18 +119,27 @@ func cloneTableT(t *testing.T, src *Database) *Database {
 	return ref
 }
 
+// whereClause renders an optional WHERE ("" means none).
+func whereClause(where string) string {
+	if where == "" {
+		return ""
+	}
+	return " WHERE " + where
+}
+
 // refUpdate computes the snapshot-semantics outcome of
-// `UPDATE t SET k = <setExpr> WHERE <where>` by running a SELECT over the
-// pristine clone, and returns the expected (id, k) rows in heap order.
-func refUpdate(t *testing.T, ref *Database, where, setExpr string) [][]string {
+// `UPDATE t SET <col> = <setExpr> WHERE <where>` (col 0 is id, 1 is k) by
+// running a SELECT over the pristine clone, and returns the expected
+// (id, k) rows in heap order.
+func refUpdate(t *testing.T, ref *Database, col int, setExpr, where string, params ...any) [][]string {
 	t.Helper()
-	upd, err := ref.Query("SELECT id, " + setExpr + " FROM t WHERE " + where)
+	upd, err := ref.Query("SELECT id, "+setExpr+" FROM t"+whereClause(where), params...)
 	if err != nil {
 		t.Fatalf("reference SELECT for UPDATE: %v", err)
 	}
-	newK := make(map[int64]Value)
+	newV := make(map[int64]Value)
 	for _, r := range upd.Rows {
-		newK[r[0].AsInt()] = r[1]
+		newV[r[0].AsInt()] = r[1]
 	}
 	all, err := ref.Query("SELECT id, k FROM t")
 	if err != nil {
@@ -139,8 +148,8 @@ func refUpdate(t *testing.T, ref *Database, where, setExpr string) [][]string {
 	out := make([]Row, len(all.Rows))
 	for i, r := range all.Rows {
 		row := r.Clone()
-		if v, ok := newK[r[0].AsInt()]; ok {
-			row[1] = coerce(v, KindInt)
+		if v, ok := newV[r[0].AsInt()]; ok {
+			row[col] = coerce(v, KindInt)
 		}
 		out[i] = row
 	}
@@ -149,9 +158,9 @@ func refUpdate(t *testing.T, ref *Database, where, setExpr string) [][]string {
 
 // refDelete computes the snapshot-semantics outcome of
 // `DELETE FROM t WHERE <where>` the same way.
-func refDelete(t *testing.T, ref *Database, where string) [][]string {
+func refDelete(t *testing.T, ref *Database, where string, params ...any) [][]string {
 	t.Helper()
-	del, err := ref.Query("SELECT id FROM t WHERE " + where)
+	del, err := ref.Query("SELECT id FROM t WHERE "+where, params...)
 	if err != nil {
 		t.Fatalf("reference SELECT for DELETE: %v", err)
 	}
@@ -177,9 +186,13 @@ func refDelete(t *testing.T, ref *Database, where string) [][]string {
 // DELETEs whose subqueries take every interesting access path over the
 // mutating table — equality-index probes, correlated probes
 // (corrProbeScanOp), aggregates, and ordered/range subqueries that
-// lazily build the ordered index view mid-statement. After every DML the
-// indexed engine, the plain engine, and the SELECT-over-pristine-clone
-// reference must agree exactly.
+// lazily build the ordered index view mid-statement. Parameterised WHERE
+// shapes without a subquery take the planner's equality and range access
+// paths on the indexed engine (a NULL parameter and an unindexable
+// residual included), and a primary-key rotation exercises the
+// final-state UNIQUE check. After every DML the indexed engine, the plain
+// engine, and the SELECT-over-pristine-clone reference must agree
+// exactly.
 func TestDMLWithSubqueriesMatchesSnapshotReference(t *testing.T) {
 	r := rand.New(rand.NewSource(117))
 	indexed, plain := dmlTestDBs()
@@ -213,6 +226,21 @@ func TestDMLWithSubqueriesMatchesSnapshotReference(t *testing.T) {
 				r.Intn(15), 15+r.Intn(15)), "k + 3"
 		},
 	}
+	// WHERE shapes without a subquery, with ? parameters.
+	plainWheres := []func(*rand.Rand) (string, []any){
+		// Recent ids are the likeliest to be live.
+		func(r *rand.Rand) (string, []any) { return "id = ?", []any{nextID - 1 - r.Intn(8)} },
+		func(r *rand.Rand) (string, []any) {
+			lo := r.Intn(30)
+			return "k BETWEEN ? AND ?", []any{lo, lo + r.Intn(10)}
+		},
+		func(r *rand.Rand) (string, []any) {
+			lo := r.Intn(30)
+			return "k > ? AND k <= ?", []any{lo, lo + r.Intn(10)}
+		},
+		func(r *rand.Rand) (string, []any) { return "k < ?", []any{nil} },
+		func(r *rand.Rand) (string, []any) { return "id = ? AND k % 2 = 0", []any{nextID - 1 - r.Intn(8)} },
+	}
 	deletes := []func(*rand.Rand) string{
 		func(r *rand.Rand) string {
 			return "k > (SELECT AVG(k) FROM t)"
@@ -236,8 +264,22 @@ func TestDMLWithSubqueriesMatchesSnapshotReference(t *testing.T) {
 		}
 	}
 
-	for step := 0; step < 300; step++ {
-		switch op := r.Intn(10); {
+	// exec runs one DML on both engines and checks it against want.
+	exec := func(step int, sql string, want [][]string, params ...any) {
+		t.Helper()
+		ni, erri := indexed.Exec(sql, params...)
+		np, errp := plain.Exec(sql, params...)
+		if erri != nil || errp != nil {
+			t.Fatalf("step %d: %q %v: indexed err %v, plain err %v", step, sql, params, erri, errp)
+		}
+		if ni != np {
+			t.Fatalf("step %d: %q %v affected %d (indexed) vs %d (plain)", step, sql, params, ni, np)
+		}
+		compare(step, sql, want)
+	}
+
+	for step := 0; step < 400; step++ {
+		switch op := r.Intn(14); {
 		case op < 5 || nextID == 0: // insert (NULL k sometimes)
 			var k any = r.Intn(40)
 			if r.Intn(7) == 0 {
@@ -249,42 +291,31 @@ func TestDMLWithSubqueriesMatchesSnapshotReference(t *testing.T) {
 			nextID++
 		case op < 8: // self-referential UPDATE
 			where, set := updates[r.Intn(len(updates))](r)
-			sql := fmt.Sprintf("UPDATE t SET k = %s WHERE %s", set, where)
-			ref := cloneTableT(t, indexed)
-			want := refUpdate(t, ref, where, set)
-			ni, erri := indexed.Exec(sql)
-			np, errp := plain.Exec(sql)
-			if erri != nil || errp != nil {
-				t.Fatalf("step %d: %q: indexed err %v, plain err %v", step, sql, erri, errp)
-			}
-			if ni != np {
-				t.Fatalf("step %d: %q affected %d (indexed) vs %d (plain)", step, sql, ni, np)
-			}
-			compare(step, sql, want)
-		default: // self-referential DELETE
+			want := refUpdate(t, cloneTableT(t, indexed), 1, set, where)
+			exec(step, fmt.Sprintf("UPDATE t SET k = %s WHERE %s", set, where), want)
+		case op < 10: // self-referential DELETE
 			where := deletes[r.Intn(len(deletes))](r)
-			sql := "DELETE FROM t WHERE " + where
-			ref := cloneTableT(t, indexed)
-			want := refDelete(t, ref, where)
-			ni, erri := indexed.Exec(sql)
-			np, errp := plain.Exec(sql)
-			if erri != nil || errp != nil {
-				t.Fatalf("step %d: %q: indexed err %v, plain err %v", step, sql, erri, errp)
-			}
-			if ni != np {
-				t.Fatalf("step %d: %q affected %d (indexed) vs %d (plain)", step, sql, ni, np)
-			}
-			compare(step, sql, want)
+			want := refDelete(t, cloneTableT(t, indexed), where)
+			exec(step, "DELETE FROM t WHERE "+where, want)
+		case op < 11: // parameterised UPDATE without a subquery
+			where, params := plainWheres[r.Intn(len(plainWheres))](r)
+			want := refUpdate(t, cloneTableT(t, indexed), 1, "k + 5", where, params...)
+			exec(step, "UPDATE t SET k = k + 5 WHERE "+where, want, params...)
+		case op < 13: // parameterised DELETE without a subquery
+			where, params := plainWheres[r.Intn(len(plainWheres))](r)
+			want := refDelete(t, cloneTableT(t, indexed), where, params...)
+			exec(step, "DELETE FROM t WHERE "+where, want, params...)
+		default: // primary-key rotation: every key moves onto its successor's
+			want := refUpdate(t, cloneTableT(t, indexed), 0, "id + 1", "")
+			exec(step, "UPDATE t SET id = id + 1", want)
+			nextID++
 		}
 	}
 }
 
-// TestDeleteCancellationMidLoopInvariant pins the documented execDelete
-// early-exit behaviour for the in-place path: when the context is
-// cancelled mid-compaction, the examined prefix keeps exactly its
-// non-matching rows, the unexamined suffix is kept untouched — no
-// duplicated and no lost rows — and the indexes are rebuilt to agree
-// with the compacted heap.
+// TestDeleteCancellationMidLoopInvariant: a DELETE cancelled part-way
+// through its victim scan fails as a whole — every row stays, Exec
+// reports 0 rows, and index lookups agree with the heap.
 func TestDeleteCancellationMidLoopInvariant(t *testing.T) {
 	db := NewDatabase()
 	ctx, cancel := context.WithCancel(context.Background())
@@ -310,65 +341,37 @@ func TestDeleteCancellationMidLoopInvariant(t *testing.T) {
 	if CodeOf(err) != ErrCanceled {
 		t.Fatalf("err = %v, want ErrCanceled", err)
 	}
+	if n != 0 {
+		t.Errorf("cancelled DELETE reported %d rows, want 0", n)
+	}
 
 	res, err := db.Query("SELECT id FROM t ORDER BY id")
 	if err != nil {
 		t.Fatal(err)
 	}
-	present := make(map[int]bool, len(res.Rows))
-	for _, r := range res.Rows {
-		id := int(r[0].AsInt())
-		if present[id] {
-			t.Fatalf("row id=%d duplicated after cancellation", id)
-		}
-		present[id] = true
+	if len(res.Rows) != total {
+		t.Fatalf("%d rows after the cancelled DELETE, want all %d", len(res.Rows), total)
 	}
-
-	// Infer the cutoff: the first unexamined row is at or before the first
-	// kept row the predicate would have deleted.
-	cutoff := total
-	for id := 0; id < total; id++ {
-		if id%3 == 0 && present[id] {
-			cutoff = id
-			break
+	for i, r := range res.Rows {
+		if int(r[0].AsInt()) != i {
+			t.Fatalf("row %d has id %d after the cancelled DELETE", i, r[0].AsInt())
 		}
 	}
-	if cutoff <= cancelAt || cutoff >= total {
-		t.Fatalf("cutoff = %d: cancellation should strike between row %d and the end", cutoff, cancelAt)
-	}
-	// Exact set: examined prefix filtered, suffix intact.
-	deleted := 0
-	for id := 0; id < total; id++ {
-		want := id >= cutoff || id%3 != 0
-		if present[id] != want {
-			t.Fatalf("row id=%d present=%v, want %v (cutoff %d)", id, present[id], want, cutoff)
-		}
-		if !want {
-			deleted++
-		}
-	}
-	if n != deleted {
-		t.Errorf("Exec reported %d deleted rows, want %d", n, deleted)
-	}
-	// Indexes were rebuilt: point lookups agree with the heap.
+	// Point lookups agree with the heap.
 	for id := 0; id < total; id++ {
 		res, err := db.Query("SELECT v FROM t WHERE id = ?", id)
 		if err != nil {
 			t.Fatal(err)
 		}
-		wantRows := 0
-		if present[id] {
-			wantRows = 1
-		}
-		if len(res.Rows) != wantRows {
-			t.Fatalf("index lookup id=%d found %d rows, want %d", id, len(res.Rows), wantRows)
+		if len(res.Rows) != 1 {
+			t.Fatalf("index lookup id=%d found %d rows, want 1", id, len(res.Rows))
 		}
 	}
 }
 
-// TestDMLSnapshotCancellationAtomic: the snapshot (subquery) DML path is
-// atomic under cancellation — nothing is applied if phase one is
-// interrupted.
+// TestDMLSnapshotCancellationAtomic: an UPDATE whose WHERE holds a
+// subquery is atomic under cancellation — nothing is applied if phase one
+// is interrupted.
 func TestDMLSnapshotCancellationAtomic(t *testing.T) {
 	db := NewDatabase()
 	ctx, cancel := context.WithCancel(context.Background())
@@ -403,10 +406,11 @@ func TestDMLSnapshotCancellationAtomic(t *testing.T) {
 }
 
 // TestUpdateEnforcesUnique: moving a row onto an occupied UNIQUE key
-// must fail with ErrConstraint on every update path — the heap walk, the
-// equality-index fast path, and the snapshot (subquery) path — exactly
-// as the equivalent INSERT would. (Before this was enforced, the UPDATE
-// applied silently and left two rows under one unique key.)
+// must fail with ErrConstraint, leaving the table untouched, whatever
+// access path picked the victims — a full scan, an equality index, a
+// subquery — exactly as the equivalent INSERT would. UNIQUE is checked on
+// the statement's final state, so key rotations succeed with or without
+// a subquery.
 func TestUpdateEnforcesUnique(t *testing.T) {
 	build := func() *Database {
 		db := NewDatabase()
@@ -430,12 +434,13 @@ func TestUpdateEnforcesUnique(t *testing.T) {
 			}
 		}
 	}
-	check(build(), "UPDATE t SET id = 1 WHERE v > 15")                       // heap walk
-	check(build(), "UPDATE t SET id = 1 WHERE id = ?", 2)                    // equality fast path
-	check(build(), "UPDATE t SET id = (SELECT MIN(id) FROM t) WHERE v = 20") // snapshot path, atomic
-	// Distinct new keys are fine on every path, including a rotation the
-	// snapshot pre-check must allow (each key vacated before re-occupied
-	// in the final state).
+	check(build(), "UPDATE t SET id = 1 WHERE v > 15")                       // full scan
+	check(build(), "UPDATE t SET id = 1 WHERE id = ?", 2)                    // equality index
+	check(build(), "UPDATE t SET id = (SELECT MIN(id) FROM t) WHERE v = 20") // subquery
+	check(build(), "UPDATE t SET id = id + 1 WHERE v <= 20")                 // 2 -> 3 lands on the unmoved 3
+	check(build(), "UPDATE t SET id = CASE WHEN id = 2 THEN 1 ELSE id END")  // 1 stays, 2 joins it
+	// Distinct new keys are fine, and so is a rotation (each key vacated
+	// before re-occupied in the final state).
 	db := build()
 	db.MustExec("UPDATE t SET id = id + 100 WHERE v >= 20")
 	got := queryStrings(t, db, "SELECT id FROM t ORDER BY id")
@@ -446,6 +451,146 @@ func TestUpdateEnforcesUnique(t *testing.T) {
 	db.MustExec("UPDATE t SET id = 4 - id WHERE id <= 3 AND v >= (SELECT MIN(v) FROM t)")
 	got = queryStrings(t, db, "SELECT id, v FROM t ORDER BY id")
 	if want := [][]string{{"1", "30"}, {"2", "20"}, {"3", "10"}}; !reflect.DeepEqual(got, want) {
-		t.Fatalf("unique key rotation via snapshot path = %v, want %v", got, want)
+		t.Fatalf("unique key rotation with a subquery = %v, want %v", got, want)
+	}
+	db = build()
+	db.MustExec("UPDATE t SET id = 4 - id")
+	got = queryStrings(t, db, "SELECT id, v FROM t ORDER BY id")
+	if want := [][]string{{"1", "30"}, {"2", "20"}, {"3", "10"}}; !reflect.DeepEqual(got, want) {
+		t.Fatalf("unique key rotation = %v, want %v", got, want)
+	}
+	db = build()
+	db.MustExec("UPDATE t SET id = id + 1")
+	got = queryStrings(t, db, "SELECT id, v FROM t ORDER BY id")
+	if want := [][]string{{"2", "10"}, {"3", "20"}, {"4", "30"}}; !reflect.DeepEqual(got, want) {
+		t.Fatalf("unique key shift = %v, want %v", got, want)
+	}
+	// A row moving to NULL vacates its key for another row in the same
+	// statement.
+	db = NewDatabase()
+	db.MustExec("CREATE TABLE u (id INTEGER, code INTEGER UNIQUE)")
+	db.MustExec("INSERT INTO u VALUES (1, 5), (2, 7)")
+	db.MustExec("UPDATE u SET code = CASE WHEN code = 5 THEN NULL ELSE 5 END")
+	got = queryStrings(t, db, "SELECT id, code FROM u ORDER BY id")
+	if want := [][]string{{"1", "NULL"}, {"2", "5"}}; !reflect.DeepEqual(got, want) {
+		t.Fatalf("key handed over through NULL = %v, want %v", got, want)
+	}
+}
+
+// TestFailedStatementLeavesNoTrace: every DML statement validates before
+// it applies, so a statement that fails — a constraint violation, a UDF
+// error part-way through, a cancellation mid-scan — changes nothing and
+// reports 0 rows. Inside a transaction the earlier statement survives and
+// commits; the failed one leaves no trace in the committed state either.
+func TestFailedStatementLeavesNoTrace(t *testing.T) {
+	type fixture struct {
+		db     *Database
+		ctx    context.Context
+		cancel context.CancelFunc
+	}
+	build := func() *fixture {
+		f := &fixture{db: NewDatabase()}
+		f.ctx, f.cancel = context.WithCancel(context.Background())
+		calls := 0
+		f.db.Funcs().Register("BOOM_AFTER_5", func(args []Value) (Value, error) {
+			if calls++; calls > 5 {
+				return Null, errf(ErrMisuse, "boom")
+			}
+			return args[0], nil
+		})
+		f.db.Funcs().Register("CANCEL_AT_100", func(args []Value) (Value, error) {
+			if args[0].AsInt() == 100 {
+				f.cancel()
+			}
+			return Bool(true), nil
+		})
+		f.db.MustExec("CREATE TABLE t (id INTEGER PRIMARY KEY, k INTEGER NOT NULL, s TEXT)")
+		f.db.MustExec("CREATE INDEX idx_t_k ON t (k)")
+		f.db.MustExec("CREATE TABLE src (id INTEGER, k INTEGER)")
+		f.db.MustExec("INSERT INTO src VALUES (2000, 1), (2001, 2), (2002, NULL), (2003, 4)")
+		rows := make([][]any, 1000)
+		for i := range rows {
+			rows[i] = []any{i, i % 7, fmt.Sprintf("s%d", i)}
+		}
+		if err := f.db.InsertRows("t", rows); err != nil {
+			t.Fatal(err)
+		}
+		return f
+	}
+	cases := []struct {
+		name, sql string
+		code      ErrorCode
+	}{
+		{"multi-row INSERT with a duplicate key",
+			"INSERT INTO t VALUES (5000, 1, 'a'), (5001, 2, 'b'), (5000, 3, 'c')", ErrConstraint},
+		{"INSERT...SELECT hitting NOT NULL part-way",
+			"INSERT INTO t SELECT id, k, 'x' FROM src", ErrConstraint},
+		{"UPDATE whose UDF errors after 5 rows",
+			"UPDATE t SET s = BOOM_AFTER_5(s), k = k + 1", ErrMisuse},
+		{"DELETE cancelled mid-scan",
+			"DELETE FROM t WHERE CANCEL_AT_100(id)", ErrCanceled},
+	}
+	const earlier = "INSERT INTO t VALUES (9000, 9, 'kept')"
+	for _, tc := range cases {
+		t.Run(tc.name+"/autocommit", func(t *testing.T) {
+			f := build()
+			defer f.cancel()
+			before := mustDump(f.db)
+			n, err := f.db.ExecContext(f.ctx, tc.sql)
+			if CodeOf(err) != tc.code {
+				t.Fatalf("err = %v, want %s", err, tc.code)
+			}
+			if n != 0 {
+				t.Errorf("failed statement reported %d rows, want 0", n)
+			}
+			if after := mustDump(f.db); after != before {
+				t.Errorf("failed statement changed the database:\nbefore %d bytes, after %d bytes", len(before), len(after))
+			}
+		})
+		t.Run(tc.name+"/txn", func(t *testing.T) {
+			ref := build()
+			ref.db.MustExec(earlier)
+			want := mustDump(ref.db)
+
+			f := build()
+			defer f.cancel()
+			tx := f.db.Begin()
+			if _, err := tx.Exec(earlier); err != nil {
+				t.Fatal(err)
+			}
+			n, err := tx.ExecContext(f.ctx, tc.sql)
+			if CodeOf(err) != tc.code {
+				t.Fatalf("err = %v, want %s", err, tc.code)
+			}
+			if n != 0 {
+				t.Errorf("failed statement reported %d rows, want 0", n)
+			}
+			if err := tx.Commit(); err != nil {
+				t.Fatal(err)
+			}
+			if got := mustDump(f.db); got != want {
+				t.Errorf("committed state differs from the earlier statement alone:\ngot %d bytes, want %d bytes", len(got), len(want))
+			}
+		})
+	}
+}
+
+// TestDMLNameErrorsWithoutQualifyingRows: DML compiles its WHERE and SET
+// before reading a row, so an unknown column fails the statement even
+// when no row qualifies — as it does for SELECT.
+func TestDMLNameErrorsWithoutQualifyingRows(t *testing.T) {
+	db := NewDatabase()
+	db.MustExec("CREATE TABLE t (id INTEGER PRIMARY KEY, k INTEGER)")
+	db.MustExec("INSERT INTO t VALUES (1, 10)")
+	for _, sql := range []string{
+		"SELECT nosuch FROM t WHERE id = 999",
+		"UPDATE t SET k = nosuch WHERE id = 999",
+		"UPDATE t SET k = 1 WHERE id = 999 AND nosuch = 1",
+		"DELETE FROM t WHERE id = 999 AND nosuch = 1",
+		"DELETE FROM t WHERE nosuch > 5",
+	} {
+		if _, err := db.Exec(sql); CodeOf(err) != ErrNoColumn {
+			t.Errorf("%q: err = %v, want ErrNoColumn", sql, err)
+		}
 	}
 }

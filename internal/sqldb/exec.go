@@ -106,6 +106,7 @@ type scanOp struct {
 	rangeIdx    *Index
 	spec        rangeSpec
 	pos         int
+	lastID      int // id of the row next() emitted last (DML victim ids)
 	qc          *queryCtx
 	snap        *snapshot
 	arr         []*rowSlot
@@ -178,6 +179,7 @@ func (s *scanOp) next() (Row, bool, error) {
 				s.qc.rowsScanned++
 				s.scanned++
 			}
+			s.lastID = id
 			return r, true, nil
 		}
 		return nil, false, nil
@@ -208,6 +210,7 @@ func (s *scanOp) next() (Row, bool, error) {
 			s.qc.rowsScanned++
 			s.scanned++
 		}
+		s.lastID = s.pos - 1
 		return r, true, nil
 	}
 	return nil, false, nil
@@ -815,14 +818,6 @@ func (n *nestedLoopJoinOp) next() (Row, bool, error) {
 // ---------------------------------------------------------------------------
 // SELECT driver
 
-// execSubquery runs a nested SELECT with the enclosing row environment
-// available for correlated references, materialising its result (IN
-// subqueries need the full set for NULL semantics; EXISTS and scalar
-// subqueries stream through buildSelectPlan instead, see compile.go).
-func execSubquery(stmt *SelectStmt, outer *evalEnv) ([]Row, []colInfo, error) {
-	return execSelect(stmt, outer.db, outer.params, outer, outer.qc)
-}
-
 // execSelect plans and runs a nested or subsidiary SELECT, materialising
 // its result. Join reordering stays off: the caller may truncate the
 // result (a scalar subquery keeps one row, a derived table may feed an
@@ -840,11 +835,19 @@ func execSelect(stmt *SelectStmt, db *Database, params []Value, outer *evalEnv, 
 	return rows, cols, nil
 }
 
-// evalConst evaluates an expression that must not reference any columns
-// (LIMIT/OFFSET operands).
-func evalConst(e Expr, db *Database, params []Value, qc *queryCtx) (Value, error) {
-	env := newEvalEnv(nil, db, params, nil, qc)
-	return evalExpr(e, env)
+// evalConst compiles and runs, once, an expression that must not
+// reference any columns of env (LIMIT/OFFSET operands, VALUES rows). A
+// literal, the common VALUES cell (snapshot reloads insert row by row),
+// needs no compiling.
+func evalConst(e Expr, env *evalEnv) (Value, error) {
+	if lit, ok := e.(*Literal); ok {
+		return lit.Val, nil
+	}
+	c, err := compileExpr(e, env)
+	if err != nil {
+		return Null, err
+	}
+	return c()
 }
 
 // expandItems resolves `*` and `tbl.*` select items against the input
@@ -1296,9 +1299,7 @@ func drain(op operator) ([]Row, error) {
 }
 
 // isSubqueryNode reports whether x itself embeds a nested SELECT: a
-// scalar subquery, EXISTS, or IN (SELECT ...). Shared by the planner's
-// rewrite blockers and DML's snapshot gate (hasSubquery, db.go) so the
-// classifiers cannot drift apart.
+// scalar subquery, EXISTS, or IN (SELECT ...).
 func isSubqueryNode(x Expr) bool {
 	switch t := x.(type) {
 	case *Subquery, *ExistsExpr:
@@ -1448,17 +1449,22 @@ func chooseScanAccess(sc *scanOp, conjuncts []Expr, params []Value) []Expr {
 
 	// Range: find the first indexed column with a range conjunct, then
 	// absorb every range conjunct on that column into one bound pair. A
-	// NULL bound leaves its conjunct to the filter (it is NULL, so false,
-	// for every row).
+	// NULL bound makes its conjunct NULL, so false, for every row: over an
+	// indexed column it empties the scan, as a NULL equality comparand
+	// does (eqIndexIDs), and the conjuncts stay for the filter to compile.
 	var target *Index
 	for _, c := range conjuncts {
 		col, _, nullB, ok := rangeConjunct(c, params)
-		if !ok || nullB {
+		if !ok {
 			continue
 		}
-		if idx := scanIndexFor(sc, col); idx != nil {
+		switch idx := scanIndexFor(sc, col); {
+		case idx == nil:
+		case nullB:
+			sc.ids = []int{}
+			return conjuncts
+		case target == nil:
 			target = idx
-			break
 		}
 	}
 	if target == nil {
@@ -1590,8 +1596,8 @@ func scanIndexFor(sc *scanOp, col *ColumnRef) *Index {
 // constOperand resolves a comparand that is a literal or a bound ?
 // parameter. Anything else — a column, an expression, a parameter the
 // call did not bind (its arity error surfaces from the filter) — reports
-// false. It is the one place the planner's access paths and DML's index
-// fast paths read comparands from.
+// false. It is the one place the planner's access paths (SELECT's and
+// DML's victim selection alike) read comparands from.
 func constOperand(e Expr, params []Value) (Value, bool) {
 	switch c := e.(type) {
 	case *Literal:

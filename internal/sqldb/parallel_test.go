@@ -685,10 +685,11 @@ func TestBatchedProbeRoundsBounded(t *testing.T) {
 	}
 }
 
-// TestDMLRangeFastPath pins the satellite range-shaped DML WHERE path:
-// an UPDATE/DELETE whose WHERE is a range over an indexed column is
-// served from the index's ordered view (IndexRangeScans ticks, FullScans
-// does not) and mutates exactly the rows the heap walk would.
+// TestDMLRangeFastPath pins DML's index access paths: an UPDATE/DELETE
+// whose WHERE is a range over an indexed column is served from the
+// index's ordered view (IndexRangeScans ticks, FullScans does not), an
+// equality from the index bucket (IndexScans ticks), and either mutates
+// exactly the rows a full scan would.
 func TestDMLRangeFastPath(t *testing.T) {
 	indexed := NewDatabase()
 	plain := NewDatabase()
@@ -730,7 +731,27 @@ func TestDMLRangeFastPath(t *testing.T) {
 	check("UPDATE d SET b = b - 1 WHERE a >= ? AND a < ?", 10, 25)
 	check("DELETE FROM d WHERE a BETWEEN 5 AND 9")
 	check("DELETE FROM d WHERE ? <= a AND a <= ?", 50, 55)
+	check("DELETE FROM d WHERE a BETWEEN ? AND ?", 30, 33)
 	check("UPDATE d SET a = a + 1 WHERE a > 57") // SET touches the range column itself
+
+	// An equality on an indexed column reads its index bucket.
+	for _, id := range []int{7, 8, 9} {
+		dml := "UPDATE d SET b = b + 1 WHERE id = ?"
+		before := indexed.Stats()
+		ni, erri := indexed.Exec(dml, id)
+		after := indexed.Stats()
+		np, errp := plain.Exec(dml, id)
+		if erri != nil || errp != nil || ni != np {
+			t.Fatalf("%q %d: indexed (%d, %v) vs plain (%d, %v)", dml, id, ni, erri, np, errp)
+		}
+		if after.IndexScans-before.IndexScans != 1 || after.FullScans != before.FullScans {
+			t.Fatalf("%q: IndexScans delta %d, FullScans delta %d, want 1 and 0", dml,
+				after.IndexScans-before.IndexScans, after.FullScans-before.FullScans)
+		}
+	}
+	if want, got := queryStrings(t, plain, "SELECT id, a, b FROM d"), queryStrings(t, indexed, "SELECT id, a, b FROM d"); fmt.Sprint(got) != fmt.Sprint(want) {
+		t.Fatal("equality DML: table contents diverged")
+	}
 
 	// A NULL bound matches nothing, on both engines, without a scan.
 	before := indexed.Stats()
@@ -746,21 +767,27 @@ func TestDMLRangeFastPath(t *testing.T) {
 		t.Fatalf("NULL-bound DELETE walked the heap (FullScans delta %d)", got)
 	}
 
-	// Non-range shapes must keep using the heap walk and stay equivalent.
-	before = indexed.Stats()
-	check2 := func(dml string) {
+	// Victims come through the planner's access path: a range conjunct
+	// over the indexed column serves a mixed-column WHERE (the rest is a
+	// filter), an OR is no range and walks the heap. Both stay equivalent.
+	check2 := func(dml string, wantRange int64) {
 		t.Helper()
+		before := indexed.Stats()
 		ni, erri := indexed.Exec(dml)
 		np, errp := plain.Exec(dml)
 		if erri != nil || errp != nil || ni != np {
 			t.Fatalf("%q: indexed (%d, %v) vs plain (%d, %v)", dml, ni, erri, np, errp)
 		}
+		if got := int64(indexed.Stats().IndexRangeScans - before.IndexRangeScans); got != wantRange {
+			t.Fatalf("%q: IndexRangeScans delta = %d, want %d", dml, got, wantRange)
+		}
+		want := queryStrings(t, plain, "SELECT id, a, b FROM d")
+		if got := queryStrings(t, indexed, "SELECT id, a, b FROM d"); fmt.Sprint(got) != fmt.Sprint(want) {
+			t.Fatalf("%q: table contents diverged", dml)
+		}
 	}
-	check2("UPDATE d SET b = 0 WHERE a > 10 AND b > 90") // mixed columns: slow path
-	check2("DELETE FROM d WHERE a > 55 OR b > 95")       // OR: slow path
-	if got := indexed.Stats().IndexRangeScans - before.IndexRangeScans; got != 0 {
-		t.Fatalf("non-range DML took the range fast path (delta %d)", got)
-	}
+	check2("UPDATE d SET b = 0 WHERE a > 10 AND b > 90", 1) // range on a, filter on b
+	check2("DELETE FROM d WHERE a > 55 OR b > 95", 0)       // OR: full scan
 }
 
 // TestOrderByTieSortFromIndex pins the satellite multi-key ORDER BY

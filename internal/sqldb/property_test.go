@@ -283,8 +283,8 @@ func TestLeftJoinRowCountInvariant(t *testing.T) {
 // Old-executor equivalence
 //
 // The engine's per-row path is compiled (compile.go); the interpreted
-// evaluator that powered the old executor survives in expr.go for DML.
-// refSelect below reconstructs the old executor for single-table queries —
+// evaluator that powered the old executor survives in interp_test.go as
+// the reference. refSelect below reconstructs the old executor for single-table queries —
 // interpreted predicates, no index selection, per-row projection — and the
 // property tests assert the two pipelines agree over generated queries.
 

@@ -313,10 +313,10 @@ func (db *Database) applyRecoveredUnit(ctx context.Context, ops []walOp) error {
 }
 
 // applyRecoveredOp applies one logical op. Row-image ops are content-
-// addressed: the image matches the lowest-id current row equal to it,
-// which reproduces the original slot assignment (DML visits matching
-// rows in ascending id order, and compaction preserves relative live-row
-// order — see wal.go).
+// addressed: the image matches the highest-id current row equal to it,
+// which reproduces the original slot assignment (DML applies its changes
+// in ascending id order, see findRowByImage, and compaction preserves
+// relative live-row order — see wal.go).
 func (db *Database) applyRecoveredOp(op walOp, tx *Txn) error {
 	switch op.kind {
 	case 'S':
@@ -326,9 +326,12 @@ func (db *Database) applyRecoveredOp(op walOp, tx *Txn) error {
 		if err != nil {
 			return recoveryCorrupt(err.Error())
 		}
-		if err := t.insertRow(op.row, nil, tx); err != nil {
+		// The statement validator is replay's only check: a logged row
+		// that breaks a constraint means a corrupt log.
+		if err := t.validate(nil, []Row{op.row}); err != nil {
 			return recoveryCorrupt("replayed INSERT rejected: " + err.Error())
 		}
+		t.insertRow(op.row, nil, tx)
 		return nil
 	case 'D':
 		t, err := db.lookupTable(op.table)
@@ -386,26 +389,33 @@ func (db *Database) applyRecoveredDDL(sql string, tx *Txn) error {
 	return nil
 }
 
-// findRowByImage returns the lowest row id whose current row is exactly
+// findRowByImage returns the highest row id whose current row is exactly
 // (kind- and bit-level) equal to img. Under writeMu, so "current" is
-// unambiguous.
+// unambiguous. A statement applies its changes in ascending row id, so
+// when a logged image is replayed every row above the one it was taken
+// from still holds its pre-statement image: any of them equal to img is
+// a twin the statement changed the same way (its WHERE and SET read only
+// the row's content). A row below may already carry this statement's new
+// image equal to img — a key rotation, SET id = id + 1, makes one — so
+// the highest match is the right one and the lowest is not.
 func findRowByImage(t *Table, img Row) (int, bool) {
 	// An indexed column can narrow the scan; correctness only needs
-	// ascending ids, which both paths provide.
+	// descending ids, which both paths provide.
 	for _, idx := range t.idxs() {
 		if idx.Column >= len(img) {
 			continue
 		}
-		for _, id := range idx.copyIDs(img[idx.Column].Key()) {
-			r := latestRow(t.head(id))
+		ids := idx.copyIDs(img[idx.Column].Key())
+		for i := len(ids) - 1; i >= 0; i-- {
+			r := latestRow(t.head(ids[i]))
 			if r != nil && rowsExactEqual(r, img) {
-				return id, true
+				return ids[i], true
 			}
 		}
 		return 0, false
 	}
 	arr, n := t.loadSlots()
-	for id := 0; id < n; id++ {
+	for id := n - 1; id >= 0; id-- {
 		r := latestRow(arr[id].head.Load())
 		if r != nil && rowsExactEqual(r, img) {
 			return id, true

@@ -488,8 +488,9 @@ func TestStatsCounters(t *testing.T) {
 }
 
 // ---------------------------------------------------------------------------
-// DML early-exit consistency (regression: an error or cancellation
-// mid-loop must not leave stale indexes or a half-compacted heap)
+// DML early-exit consistency: an error or cancellation part-way through a
+// statement leaves the table untouched, and index lookups agree with the
+// heap.
 
 func TestUpdateErrorMidLoopKeepsIndexesConsistent(t *testing.T) {
 	db := NewDatabase()
@@ -507,19 +508,27 @@ func TestUpdateErrorMidLoopKeepsIndexesConsistent(t *testing.T) {
 	if err := db.InsertRows("t", rows); err != nil {
 		t.Fatal(err)
 	}
-	// Rows 0..4 update their PRIMARY KEY (indexed) before row 5 errors.
-	_, err := db.Exec("UPDATE t SET id = id + 100 WHERE BOOM_IF(v, 5)")
+	// Rows 0..4 qualify for a PRIMARY KEY (indexed) change before the
+	// predicate errors on row 5: the statement fails as a whole.
+	n, err := db.Exec("UPDATE t SET id = id + 100 WHERE BOOM_IF(v, 5)")
 	if CodeOf(err) != ErrMisuse {
 		t.Fatalf("err = %v, want the UDF error", err)
 	}
-	// The index must serve the post-update keys for the rows that changed.
-	for _, id := range []int{100, 101, 102, 103, 104, 5, 6, 7, 8, 9} {
+	if n != 0 {
+		t.Errorf("failed UPDATE reported %d rows, want 0", n)
+	}
+	// The index serves exactly the untouched keys.
+	for id := 0; id < 105; id++ {
 		res, qerr := db.Query("SELECT v FROM t WHERE id = ?", id)
 		if qerr != nil {
 			t.Fatal(qerr)
 		}
-		if len(res.Rows) != 1 {
-			t.Errorf("index lookup id=%d found %d rows, want 1", id, len(res.Rows))
+		want := 0
+		if id < 10 {
+			want = 1
+		}
+		if len(res.Rows) != want {
+			t.Errorf("index lookup id=%d found %d rows, want %d", id, len(res.Rows), want)
 		}
 	}
 }
@@ -541,10 +550,13 @@ func TestDeleteErrorMidLoopKeepsHeapConsistent(t *testing.T) {
 	if err := db.InsertRows("t", rows); err != nil {
 		t.Fatal(err)
 	}
-	// v 0..2 are deleted, then v=6 errors mid-compaction.
-	_, err := db.Exec("DELETE FROM t WHERE DEL_OR_BOOM(v)")
+	// v 0..2 qualify, then v=6 errors: the statement fails as a whole.
+	n, err := db.Exec("DELETE FROM t WHERE DEL_OR_BOOM(v)")
 	if CodeOf(err) != ErrMisuse {
 		t.Fatalf("err = %v, want the UDF error", err)
+	}
+	if n != 0 {
+		t.Errorf("failed DELETE reported %d rows, want 0", n)
 	}
 	res, err := db.Query("SELECT v FROM t ORDER BY v")
 	if err != nil {
@@ -554,12 +566,12 @@ func TestDeleteErrorMidLoopKeepsHeapConsistent(t *testing.T) {
 	for _, r := range res.Rows {
 		got = append(got, r[0].AsText())
 	}
-	want := []string{"3", "4", "5", "6", "7", "8", "9"}
+	want := []string{"0", "1", "2", "3", "4", "5", "6", "7", "8", "9"}
 	if !reflect.DeepEqual(got, want) {
 		t.Fatalf("heap after mid-delete error: %v, want %v", got, want)
 	}
 	// Index lookups agree with the heap (no duplicates, no stale ids).
-	for id := 3; id <= 9; id++ {
+	for id := 0; id <= 9; id++ {
 		res, qerr := db.Query("SELECT v FROM t WHERE id = ?", id)
 		if qerr != nil {
 			t.Fatal(qerr)

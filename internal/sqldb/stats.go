@@ -258,9 +258,6 @@ type queryCtx struct {
 	// without one (plain EXPLAIN), where scans fall back to
 	// latest-committed.
 	snap *snapshot
-	// wtx is the transaction a DML statement writes under (set between
-	// beginWrite and its end callback).
-	wtx *Txn
 	// releaseSnap, when set, drops the execution's snapshot reference at
 	// flush — the cursor path, where the snapshot must live exactly as
 	// long as iteration can still happen.

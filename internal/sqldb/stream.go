@@ -570,7 +570,7 @@ func buildSelectPlan(stmt *SelectStmt, db *Database, params []Value, outer *eval
 	// LIMIT / OFFSET are constant expressions; fold them at plan time.
 	start, limit := 0, -1
 	if stmt.Offset != nil {
-		ov, err := evalConst(stmt.Offset, db, params, qc)
+		ov, err := evalConst(stmt.Offset, newEvalEnv(nil, db, params, nil, qc))
 		if err != nil {
 			return nil, nil, err
 		}
@@ -579,7 +579,7 @@ func buildSelectPlan(stmt *SelectStmt, db *Database, params []Value, outer *eval
 		}
 	}
 	if stmt.Limit != nil {
-		lv, err := evalConst(stmt.Limit, db, params, qc)
+		lv, err := evalConst(stmt.Limit, newEvalEnv(nil, db, params, nil, qc))
 		if err != nil {
 			return nil, nil, err
 		}

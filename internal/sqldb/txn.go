@@ -280,9 +280,8 @@ func (db *Database) Begin() *Txn {
 }
 
 // record notes an undo step for rollback. Autocommit statement
-// transactions skip it: they are never rolled back (a failing statement
-// keeps its partial work, the engine's documented non-atomic statement
-// semantics).
+// transactions skip it: they are never rolled back, because a DML
+// statement applies nothing until it has validated (db.go).
 func (tx *Txn) record(kind int, t *Table, id int) {
 	if tx.auto {
 		return
@@ -423,10 +422,10 @@ func (tx *Txn) ExecContext(ctx context.Context, sql string, params ...any) (int,
 	n := 0
 	for _, stmt := range stmts {
 		m, err := tx.db.execStmt(qc, stmt, vals, tx)
-		n += m
 		if err != nil {
 			return n, err
 		}
+		n += m
 	}
 	return n, nil
 }
@@ -528,7 +527,8 @@ func (db *Database) beginRead(tx *Txn) (*snapshot, func()) {
 // error is the commit-time ErrIO surface and must be propagated (the
 // in-memory effects stand either way; see Txn.Commit). Inside an
 // explicit transaction the latch stays held (until Commit/Rollback) and
-// end() only clears the statement snapshot.
+// end() only clears the statement snapshot. That snapshot is the one the
+// statement's read-only phase 1 runs under (db.go).
 func (db *Database) beginWrite(qc *queryCtx, tx *Txn) (*Txn, func() error, error) {
 	if tx = db.currentTxn(tx); tx != nil {
 		if tx.done {
@@ -536,10 +536,8 @@ func (db *Database) beginWrite(qc *queryCtx, tx *Txn) (*Txn, func() error, error
 		}
 		tx.ensureWrite()
 		qc.snap = db.tm.captureStmt(tx.xid)
-		qc.wtx = tx
 		return tx, func() error {
 			qc.snap = nil
-			qc.wtx = nil
 			return nil
 		}, nil
 	}
@@ -547,18 +545,14 @@ func (db *Database) beginWrite(qc *queryCtx, tx *Txn) (*Txn, func() error, error
 	xid := db.tm.begin()
 	at := &Txn{db: db, xid: xid, auto: true, wrote: true}
 	qc.snap = db.tm.captureStmt(xid)
-	qc.wtx = at
 	return at, func() error {
 		qc.snap = nil
-		qc.wtx = nil
 		at.done = true
 		var ioErr error
 		var syncGen uint64
 		var syncOff int64
 		if len(at.walOps) > 0 {
-			// A failing statement keeps its partial work (the engine's
-			// documented non-atomic statement semantics), so whatever ops
-			// were applied are logged as this statement's record.
+			// A failed statement applied nothing, so it logs nothing.
 			syncGen, syncOff, ioErr = db.wal.appendCommit(at.walOps, true)
 		}
 		db.tm.finish(xid) // autocommit: publication point

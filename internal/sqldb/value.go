@@ -8,11 +8,11 @@
 //	lexer.go / parser.go / ast.go   SQL text -> AST
 //	prepare.go                      prepared statements + the LRU plan cache
 //	catalog.go                      schemas, tables, indexes
-//	expr.go / func.go / agg.go      interpreted expression evaluation (DML)
+//	expr.go / func.go / agg.go      evaluation scopes, scalar functions, aggregates
 //	compile.go                      AST -> closures with ordinals bound once
 //	key.go                          allocation-free binary row/value keys
 //	exec.go                         planning and volcano-style execution
-//	db.go                           the public Database API
+//	db.go                           the public Database API and two-phase DML
 //
 // SELECT execution happens in two phases: planning resolves every column
 // reference to an ordinal, picks access paths (index scans, hash-join

@@ -34,10 +34,11 @@ import (
 //
 // Ops are logical row images, not slot ids: INSERT carries the new row,
 // DELETE the deleted row's image, UPDATE both images. Recovery matches
-// images against the lowest visible row, which reproduces the original
-// slot assignment because DML always visits matching rows in ascending
-// id order (dmlWhereIDs and the heap walk both yield ascending ids) and
-// checkpoint compaction preserves the relative order of live rows. Image
+// images against the highest visible row, which reproduces the original
+// slot assignment because DML always applies its changes in ascending
+// id order (every access path of its victim scan yields ascending ids;
+// findRowByImage has the argument) and checkpoint compaction preserves
+// the relative order of live rows. Image
 // ops survive checkpointing, where slot ids would not: reloading a
 // snapshot compacts slots.
 //

@@ -38,12 +38,11 @@ type crashUnit struct {
 
 // crashWorkload exercises every record kind and every recovery path:
 // standalone DDL, autocommit batches, multi-op transaction frames, a
-// rolled-back transaction (with DDL), a partially-applied statement
-// (constraint violation mid-INSERT, the engine's documented non-atomic
-// statement semantics), duplicate row images (content-addressed replay
-// must pick the lowest id), NULLs and floats (exact-equality matching),
-// and a checkpoint in the middle so later units replay on a compacted
-// snapshot base.
+// rolled-back transaction (with DDL), a failed statement (constraint
+// violation mid-INSERT, which applies and logs nothing), duplicate row
+// images (content-addressed replay must treat twins alike), NULLs and
+// floats (exact-equality matching), and a checkpoint in the middle so
+// later units replay on a compacted snapshot base.
 func crashWorkload() []crashUnit {
 	return []crashUnit{
 		{unitSQL, []string{"CREATE TABLE t (id INTEGER PRIMARY KEY, k INTEGER, s TEXT, f REAL)"}},
@@ -61,8 +60,8 @@ func crashWorkload() []crashUnit {
 			"CREATE TABLE ghost (x INTEGER)",
 			"DROP TABLE dup",
 		}},
-		// Second VALUES row violates the primary key: the first row's
-		// partial work is kept and logged.
+		// Second VALUES row violates the primary key: the statement fails
+		// as a whole, so neither row is applied and nothing is logged.
 		{unitSQL, []string{"INSERT INTO t VALUES (5, 5, 'five', 5.0), (1, 1, 'dup-pk', 0.0)"}},
 		{unitCheckpoint, nil},
 		{unitSQL, []string{"UPDATE t SET k = k + 10 WHERE k <= 2"}},
@@ -95,7 +94,7 @@ func isInjectedErr(err error) bool {
 
 // applyRefUnit replays one unit on the in-memory reference database,
 // mirroring runCrashUnits exactly: engine errors are deterministic and
-// leave the same partial work on both sides.
+// leave both sides unchanged.
 func applyRefUnit(db *Database, u crashUnit) {
 	switch u.kind {
 	case unitSQL:

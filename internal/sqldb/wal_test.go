@@ -133,6 +133,59 @@ func TestReopenRecoversCommittedState(t *testing.T) {
 	}
 }
 
+// TestReopenReplaysKeyRotation: a primary-key rotation passes through
+// row images that a lower row already carries mid-statement (after
+// SET id = id + 1 moves row 0 onto key 2, rows 0 and 1 both read
+// (2, 'a')). Replay must still land every image on the row it came from,
+// so the recovered heap order is the original one.
+func TestReopenReplaysKeyRotation(t *testing.T) {
+	fs := newMemFS()
+	db := openWalDB(t, fs, DurabilityOptions{})
+	db.MustExec("CREATE TABLE t (id INTEGER PRIMARY KEY, v TEXT)")
+	db.MustExec("INSERT INTO t VALUES (1, 'a'), (2, 'a'), (3, 'a'), (4, 'b')")
+	db.MustExec("UPDATE t SET id = id + 1")
+	tx := db.Begin()
+	if _, err := tx.Exec("UPDATE t SET id = 6 - id WHERE v = 'a'; UPDATE t SET v = 'a'"); err != nil {
+		t.Fatal(err)
+	}
+	if err := tx.Commit(); err != nil {
+		t.Fatal(err)
+	}
+	db.MustExec("UPDATE t SET id = id - 1")
+	want := dumpString(t, db)
+	closeDB(t, db)
+
+	db2 := openWalDB(t, fs, DurabilityOptions{})
+	defer closeDB(t, db2)
+	if got := dumpString(t, db2); got != want {
+		t.Errorf("recovered dump differs:\n--- want ---\n%s--- got ---\n%s", want, got)
+	}
+}
+
+// TestFailedStatementWritesNothing: a statement that fails validation
+// applied nothing, so it must not touch the log either.
+func TestFailedStatementWritesNothing(t *testing.T) {
+	fs := newMemFS()
+	db := openWalDB(t, fs, DurabilityOptions{})
+	defer closeDB(t, db)
+	db.MustExec("CREATE TABLE t (id INTEGER PRIMARY KEY)")
+	db.MustExec("INSERT INTO t VALUES (1)")
+	before, err := fs.ReadFile("db/wal-0.log")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := db.Exec("INSERT INTO t VALUES (2), (3), (1)"); CodeOf(err) != ErrConstraint {
+		t.Fatalf("err = %v, want ErrConstraint", err)
+	}
+	after, err := fs.ReadFile("db/wal-0.log")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(after) != len(before) {
+		t.Errorf("failed statement appended %d bytes to the WAL", len(after)-len(before))
+	}
+}
+
 // TestRolledBackTxnWritesNothing: rollback must not touch the log at all.
 func TestRolledBackTxnWritesNothing(t *testing.T) {
 	fs := newMemFS()
